@@ -7,17 +7,18 @@ import repro.core.Types._
   *
   * Learns the modality weights w = (ω₀², …, ω_{m-1}²) that define the joint
   * similarity IP(p̂, ô) = Σᵢ wᵢ·IPᵢ (Lemma 1). Training minimizes the
-  * softmax contrastive loss of Eq. 6 over a DataFrame of anchors (training
+  * softmax contrastive loss of Eq. 6 over a Dataset of anchors (training
   * queries) whose positives are their true objects in T, with *hard*
   * negatives re-mined every epoch via vector search over T under the
   * current weights (Eq. 5).
   *
-  * Distribution: each epoch is one Spark job — per-anchor gradients and
-  * losses are computed in `mapPartitions` (T and the current weights are
-  * broadcast) and reduced with `treeReduce`, i.e. the gradient is computed
-  * via aggregation over the anchor set; the driver then takes one
-  * full-batch gradient-descent step (the paper's minibatch SGD with
-  * 700 iterations ≈ our full-batch GD with ~80 epochs at the same loss).
+  * Execution: the anchors and T are collected once (both are as small as
+  * the training set), and each anchor's per-modality IPs against T are
+  * computed once — they do not depend on w. The epochs then run on the
+  * driver over that anchors × |T| × m tensor: each epoch sums the
+  * per-anchor gradients in anchor order and takes one full-batch
+  * gradient-descent step (the paper's minibatch SGD with 700 iterations ≈
+  * our full-batch GD with ~80 epochs at the same loss).
   *
   * The closed-form gradient of Eq. 6 w.r.t. wᵢ for one anchor p is
   *   ∂L_p/∂wᵢ = −IPᵢ(p, p⁺) + Σ_{x ∈ {p⁺} ∪ N⁻} softmax(s_x)·IPᵢ(p, x),
@@ -41,37 +42,49 @@ object WeightLearning {
       top1History: Seq[Double], // fraction of anchors whose positive ranks first in T
   )
 
-  /** One anchor's contribution: (gradient over m weights, loss, top1 hit).
-    * Package-visible so the test suite can check the closed-form gradient
-    * against numeric differentiation. */
-  private[core] def anchorGrad(
-      w: Array[Double],
+  /** One anchor's per-modality IPs against T: `ips(j)(i)` = IPᵢ(p, T(j)),
+    * with `pos` the index of the anchor's positive in T. */
+  private[core] final case class AnchorIps(qid: Long, pos: Int, ips: Array[Array[Double]])
+
+  /** Computes an anchor's [[AnchorIps]]; rejects an anchor whose gt is not in T. */
+  private[core] def anchorIps(
       anchor: MMQuery,
       t: Array[(Long, Array[Array[Double]])],
-      cfg: WLConfig,
-  ): (Array[Double], Double, Double) = {
-    val m = w.length
+      m: Int,
+  ): AnchorIps = {
+    val pos = t.indexWhere(_._1 == anchor.gt)
+    require(pos >= 0, s"anchor gt ${anchor.gt} missing from T")
     val qv = anchor.vecs.map(_.toArray).toArray
-    // Per-modality IPs of the anchor against every object in T.
     val ips = t.map { case (_, ov) =>
       Array.tabulate(m)(i =>
         if (i < qv.length && qv(i).length > 0) VecOps.dot(qv(i), ov(i)) else 0.0)
     }
-    val joint = ips.map(ip => { var s = 0.0; var i = 0; while (i < m) { s += w(i) * ip(i); i += 1 }; s })
+    AnchorIps(anchor.qid, pos, ips)
+  }
 
-    val posIdx = t.indexWhere(_._1 == anchor.gt)
-    require(posIdx >= 0, s"anchor gt ${anchor.gt} missing from T")
+  /** One anchor's contribution under weights w: (gradient over m weights,
+    * loss, top1 hit). Package-visible so the test suite can check the
+    * closed-form gradient against numeric differentiation. */
+  private[core] def anchorGrad(
+      w: Array[Double],
+      anchor: AnchorIps,
+      cfg: WLConfig,
+  ): (Array[Double], Double, Double) = {
+    val m = w.length
+    val ips = anchor.ips
+    val posIdx = anchor.pos
+    val joint = ips.map(ip => { var s = 0.0; var i = 0; while (i < m) { s += w(i) * ip(i); i += 1 }; s })
 
     // Eq. 5: R = top-k of T under current weights (k = |N⁻| + 1 so that
     // N⁻ = R \ {p⁺} has |N⁻| elements when the positive is in R).
-    val nNeg = math.min(cfg.negatives, t.length - 1)
+    val nNeg = math.min(cfg.negatives, ips.length - 1)
     val negIdxs: Array[Int] =
       if (cfg.hardNegatives) {
         val order = joint.zipWithIndex.sortBy(-_._1).map(_._2)
         order.take(nNeg + 1).filter(_ != posIdx).take(nNeg)
       } else {
         val rng = new scala.util.Random(VecOps.mix64(cfg.seed ^ anchor.qid))
-        Iterator.continually(rng.nextInt(t.length))
+        Iterator.continually(rng.nextInt(ips.length))
           .filter(_ != posIdx).distinct.take(nNeg).toArray
       }
 
@@ -96,7 +109,7 @@ object WeightLearning {
     (grad, loss, top1)
   }
 
-  /** Runs the learning loop; `anchors` is the training-query DataFrame and
+  /** Runs the learning loop; `anchors` is the training-query Dataset and
     * `objects` supplies T = the anchors' true objects. */
   def learn(
       anchors: Dataset[MMQuery],
@@ -104,42 +117,39 @@ object WeightLearning {
       m: Int,
       cfg: WLConfig = WLConfig(),
   ): TrainResult = {
-    val spark = anchors.sparkSession
-    val anchorRows = anchors // cached: re-scanned every epoch
-    anchorRows.cache()
-    val nAnchors = anchorRows.count().toDouble
+    val anchorRows = anchors.collect()
+    val nAnchors = anchorRows.length.toDouble
     require(nAnchors > 0, "no training anchors")
 
-    // T: true objects of the anchors (paper §VI-A), small enough to broadcast.
-    val gtIds = anchorRows.select("gt").distinct().collect().map(_.getLong(0)).toSet
+    // T: true objects of the anchors (paper §VI-A).
+    val gtIds = anchorRows.map(_.gt).toSet
     val t: Array[(Long, Array[Array[Double]])] = objects
       .filter(o => gtIds.contains(o.id))
       .collect()
       .map(o => o.id -> o.vecs.map(_.toArray).toArray)
       .sortBy(_._1)
     require(t.length == gtIds.size, "some anchor gts missing from object set")
+    val tensor = anchorRows.map(a => anchorIps(a, t, m))
 
     var w = Array.fill(m)(cfg.init)
     val losses = Vector.newBuilder[Double]
     val top1s = Vector.newBuilder[Double]
 
     for (_ <- 0 until cfg.epochs) {
-      val bw = spark.sparkContext.broadcast(w)
-      val bt = spark.sparkContext.broadcast(t)
-      val (gradSum, lossSum, hitSum) = anchorRows.rdd
-        .mapPartitions { it =>
-          val ww = bw.value; val tt = bt.value
-          it.map(a => anchorGrad(ww, a, tt, cfg))
-        }
-        .treeReduce { case ((g1, l1, h1), (g2, l2, h2)) =>
-          (VecOps.axpy(g1, 1.0, g2), l1 + l2, h1 + h2)
-        }
+      val gradSum = new Array[Double](m)
+      var lossSum = 0.0
+      var hitSum = 0.0
+      tensor.foreach { a =>
+        val (g, l, h) = anchorGrad(w, a, cfg)
+        var i = 0
+        while (i < m) { gradSum(i) += g(i); i += 1 }
+        lossSum += l
+        hitSum += h
+      }
       losses += lossSum / nAnchors
       top1s += hitSum / nAnchors
       w = Array.tabulate(m)(i => math.max(0.0, w(i) - cfg.lr * gradSum(i) / nAnchors))
-      bw.destroy(); bt.destroy()
     }
-    anchorRows.unpersist()
     TrainResult(w, losses.result(), top1s.result())
   }
 }

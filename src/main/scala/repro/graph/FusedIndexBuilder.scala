@@ -1,6 +1,9 @@
 package repro.graph
 
-import org.apache.spark.sql.{Dataset, SparkSession}
+import scala.collection.mutable
+import scala.reflect.ClassTag
+
+import org.apache.spark.sql.SparkSession
 import repro.core.{JointSimilarity, VecOps}
 import repro.core.Types.IndexConfig
 
@@ -21,34 +24,26 @@ final case class FusedIndex(
 }
 
 /** Component-based index construction pipeline (Algorithm 1, components
-  * ①–⑤), expressed as a distributed DataFrame job:
+  * ①–⑤) over the in-memory [[VectorStore]]:
   *
   *  - ① Initialization: random γ-NN lists refined by ε rounds of
-  *    NNDescent. Each round is a self-join of the neighbor DataFrame
-  *    (neighbors-of-neighbors), scored in mapPartitions against the
-  *    broadcast [[VectorStore]], then reduced to the best γ per vertex
-  *    with `groupByKey`. (The paper's one-at-a-time replacement loop and
-  *    this batch top-γ update reach the same fixpoint; batching is the
-  *    dataflow-friendly formulation.)
+  *    NNDescent. Each round is one Spark job, a map over vertex ids that
+  *    reads the broadcast store and a broadcast of the current adjacency:
+  *    every vertex v keeps the best γ of N(v) ∪ N(N(v)) \ {v} by joint IP.
+  *    (The paper's one-at-a-time replacement loop and this batch top-γ
+  *    update reach the same fixpoint; batching needs no shared state.)
   *  - ② Candidate acquisition: one more neighbors-of-neighbors expansion,
   *    keeping each vertex's best candidates.
-  *  - ③ Neighbor selection: MRNG pruning (Lemma 2) per vertex, executed in
-  *    mapPartitions; toggling `useMrngSelection` off yields the
-  *    KGraph-style top-γ graph used in the §VIII-G pipeline ablation.
+  *  - ③ Neighbor selection: MRNG pruning (Lemma 2) per vertex, in the same
+  *    pass as ②; toggling `useMrngSelection` off yields the KGraph-style
+  *    top-γ graph used in the §VIII-G pipeline ablation.
   *  - ④ Seed preprocessing: seed = argmax joint IP to the centroid of the
   *    concatenated vectors.
-  *  - ⑤ Connectivity: BFS from the seed over the (small, γ-regular)
-  *    collected adjacency; unreached vertices get a bridge edge from
-  *    their nearest visited vertex.
+  *  - ⑤ Connectivity: BFS from the seed over the collected adjacency;
+  *    unreached vertices get a bridge edge from their nearest visited
+  *    vertex.
   */
 object FusedIndexBuilder {
-
-  // Row types for the build dataflow. Public: Spark's codegen needs to
-  // instantiate them from generated projection classes.
-  final case class Nbrs(id: Int, nbrs: Array[Int])
-  final case class Cand(id: Int, u: Int)
-  final case class Scored(id: Int, u: Int, ip: Double)
-  final case class CandList(id: Int, us: Array[Int], ips: Array[Double])
 
   /** Max candidates kept per vertex in component ② (paper keeps N(o) ∪
     * N(N(o)) in full; capping at γ·(γ+1) only drops duplicates' tail). */
@@ -65,37 +60,31 @@ object FusedIndexBuilder {
       epsilon: Int,
       seed: Long = 1234L,
   ): Array[Array[Int]] = {
-    import spark.implicits._
-    val bStore = spark.sparkContext.broadcast(store)
-    val bw = spark.sparkContext.broadcast(weights)
-    var nbrs = initRandom(spark, store.n, math.min(gamma, store.n - 1), seed)
-    nbrs.cache(); nbrs.count()
-    for (_ <- 0 until epsilon) {
-      val refined = expandAndSelect(spark, nbrs, bStore, bw, keep = gamma)
-        .map(c => Nbrs(c.id, c.us)).cache()
-      refined.count(); nbrs.unpersist(); nbrs = refined
-    }
-    val out = new Array[Array[Int]](store.n)
-    nbrs.collect().foreach(r => out(r.id) = r.nbrs)
-    nbrs.unpersist(); bStore.destroy(); bw.destroy()
-    out
+    val sc = spark.sparkContext
+    var nbrs = initRandom(store.n, math.min(gamma, store.n - 1), seed)
+    val bStore = sc.broadcast(store)
+    val bw = sc.broadcast(weights)
+    try {
+      for (_ <- 0 until epsilon) {
+        val bNbrs = sc.broadcast(nbrs)
+        try nbrs = eachVertex(spark, store.n)(v => candidates(bStore.value, bw.value, bNbrs.value, v, gamma)._1)
+        finally bNbrs.destroy()
+      }
+      nbrs
+    } finally { bStore.destroy(); bw.destroy() }
   }
 
-  private def initRandom(spark: SparkSession, n: Int, gamma: Int, seed: Long): Dataset[Nbrs] = {
-    import spark.implicits._
-    spark.range(n.toLong).map { idL =>
-      val idLong: Long = idL
-      val id = idLong.toInt
-      val picked = new scala.collection.mutable.LinkedHashSet[Int]
+  private def initRandom(n: Int, gamma: Int, seed: Long): Array[Array[Int]] =
+    Array.tabulate(n) { id =>
+      val picked = new mutable.LinkedHashSet[Int]
       var c = 0L
       while (picked.size < gamma) {
-        val cand = math.floorMod(VecOps.mix64(seed ^ VecOps.mix64(idLong * 31 + c)), n.toLong).toInt
+        val cand = math.floorMod(VecOps.mix64(seed ^ VecOps.mix64(id.toLong * 31 + c)), n.toLong).toInt
         if (cand != id) picked += cand
         c += 1
       }
-      Nbrs(id, picked.toArray)
+      picked.toArray
     }
-  }
 
   def build(
       spark: SparkSession,
@@ -104,45 +93,24 @@ object FusedIndexBuilder {
       cfg: IndexConfig = IndexConfig(),
       seed: Long = 1234L,
   ): FusedIndex = {
-    import spark.implicits._
     val n = store.n
     require(n > 1, "index needs at least two objects")
     val gamma = math.min(cfg.gamma, n - 1)
-    val bStore = spark.sparkContext.broadcast(store)
-    val bw = spark.sparkContext.broadcast(weights)
 
-    def jointIp(a: Int, b: Int): Double =
-      JointSimilarity.jointIP(bw.value, bStore.value.vecs(a), bStore.value.vecs(b))
+    // ① random initialization + ε NNDescent rounds
+    val knn = nnDescentGraph(spark, store, weights, gamma, cfg.epsilon, seed)
 
-    // ① random initialization
-    var nbrs: Dataset[Nbrs] = initRandom(spark, n, gamma, seed).cache()
-    nbrs.count()
-
-    // ① NNDescent refinement: ε rounds of neighbors-of-neighbors top-γ.
-    for (_ <- 0 until cfg.epsilon) {
-      val refined = expandAndSelect(spark, nbrs, bStore, bw, keep = gamma)
-        .map(c => Nbrs(c.id, c.us))
-        .cache()
-      refined.count()
-      nbrs.unpersist()
-      nbrs = refined
-    }
-
-    // ② candidate acquisition + ③ neighbor selection
-    val cands = expandAndSelect(spark, nbrs, bStore, bw, keep = candCap(gamma))
-    val selected: Dataset[Nbrs] =
-      if (cfg.useMrngSelection)
-        cands.mapPartitions { it =>
-          it.map { c =>
-            Nbrs(c.id, mrngSelect(c.id, c.us, c.ips, gamma, bStore.value, bw.value))
-          }
-        }
-      else cands.map(c => Nbrs(c.id, c.us.take(gamma)))
-
-    val adjacency = new Array[Array[Int]](n)
-    selected.collect().foreach(r => adjacency(r.id) = r.nbrs)
-    require(!adjacency.contains(null), "selection lost a vertex")
-    nbrs.unpersist()
+    // ② candidate acquisition + ③ neighbor selection, one pass per vertex
+    val sc = spark.sparkContext
+    val useMrng = cfg.useMrngSelection
+    val bStore = sc.broadcast(store)
+    val bw = sc.broadcast(weights)
+    val bKnn = sc.broadcast(knn)
+    val adjacency =
+      try eachVertex(spark, n) { v =>
+        val (us, ips) = candidates(bStore.value, bw.value, bKnn.value, v, candCap(gamma))
+        if (useMrng) mrngSelect(v, us, ips, gamma, bStore.value, bw.value) else us.take(gamma)
+      } finally { bStore.destroy(); bw.destroy(); bKnn.destroy() }
 
     // ④ seed = vertex nearest to the centroid of concatenated vectors.
     // (Per-modality mean ⇔ concatenated-vector mean, by linearity.)
@@ -163,43 +131,37 @@ object FusedIndexBuilder {
     }
 
     // ⑤ connectivity repair by BFS from the seed.
-    if (cfg.ensureConnectivity) repairConnectivity(adjacency, seedVertex, jointIp)
+    if (cfg.ensureConnectivity)
+      repairConnectivity(adjacency, seedVertex,
+        (a, b) => JointSimilarity.jointIP(weights, store.vecs(a), store.vecs(b)))
 
-    bStore.destroy(); bw.destroy()
     FusedIndex(adjacency, seedVertex, weights.clone())
   }
 
-  /** Neighbors-of-neighbors expansion scored against the broadcast store,
-    * reduced to each vertex's best `keep` candidates (desc by joint IP).
+  /** `f(v)` for every vertex v in [0, n), as one Spark job; element v of
+    * the result is `f(v)`. `f` reads what it needs from broadcasts. */
+  private[graph] def eachVertex[A: ClassTag](spark: SparkSession, n: Int)(f: Int => A): Array[A] = {
+    val sc = spark.sparkContext
+    sc.parallelize(0 until n, sc.defaultParallelism).map(f).collect()
+  }
+
+  /** Neighbors-of-neighbors expansion of one vertex: N(v) ∪ N(N(v)) \ {v},
+    * scored by joint IP with v and ordered by (−ip, u), first `keep`.
     * Shared by the NNDescent rounds (keep = γ) and component ② (keep =
-    * candidate cap). Current neighbors always remain candidates.
-    */
-  private def expandAndSelect(
-      spark: SparkSession,
-      nbrs: Dataset[Nbrs],
-      bStore: org.apache.spark.broadcast.Broadcast[VectorStore],
-      bw: org.apache.spark.broadcast.Broadcast[Array[Double]],
+    * candidate cap). Current neighbors always remain candidates. */
+  private[graph] def candidates(
+      store: VectorStore,
+      w: Array[Double],
+      nbrs: Array[Array[Int]],
+      v: Int,
       keep: Int,
-  ): Dataset[CandList] = {
-    import spark.implicits._
-    val edges = nbrs.flatMap(r => r.nbrs.map(u => Cand(r.id, u)))
-    val byV = nbrs.map(r => (r.id, r.nbrs)).toDF("v", "vn")
-    val twoHop = edges.toDF("id", "v")
-      .join(byV, "v")
-      .select($"id", org.apache.spark.sql.functions.explode($"vn").as("u"))
-      .where($"u" =!= $"id")
-      .as[Cand]
-    val all = twoHop.union(edges).dropDuplicates("id", "u")
-    all
-      .mapPartitions { it =>
-        val st = bStore.value; val w = bw.value
-        it.map(c => Scored(c.id, c.u, JointSimilarity.jointIP(w, st.vecs(c.id), st.vecs(c.u))))
-      }
-      .groupByKey(_.id)
-      .mapGroups { (id, it) =>
-        val top = it.toArray.sortBy(s => (-s.ip, s.u)).take(keep)
-        CandList(id, top.map(_.u), top.map(_.ip))
-      }
+  ): (Array[Int], Array[Double]) = {
+    val all = mutable.ArrayBuilder.make[Int]
+    nbrs(v).foreach { u => all += u; all ++= nbrs(u) }
+    val us = all.result().distinct.filter(_ != v)
+    val vv = store.vecs(v)
+    val top = us.map(u => (-JointSimilarity.jointIP(w, vv, store.vecs(u)), u)).sorted.take(keep)
+    (top.map(_._2), top.map(-_._1))
   }
 
   /** MRNG selection (Algorithm 1 lines 11–17): walk candidates in
@@ -213,7 +175,7 @@ object FusedIndexBuilder {
       store: VectorStore,
       w: Array[Double],
   ): Array[Int] = {
-    val out = new scala.collection.mutable.ArrayBuffer[Int](gamma)
+    val out = new mutable.ArrayBuffer[Int](gamma)
     var i = 0
     while (i < us.length && out.length < gamma) {
       val v = us(i)
@@ -233,32 +195,47 @@ object FusedIndexBuilder {
   }
 
   /** Component ⑤: BFS from the seed; for every unreached vertex add a
-    * bridge edge from its nearest visited vertex (sampled when the
-    * frontier is large) and continue the BFS through it. */
-  private def repairConnectivity(
+    * bridge edge from its nearest visited vertex and continue the BFS
+    * through it. When L > 1024 vertices are visited, "nearest" is taken
+    * over every ⌊L/1024⌋-th visited id in id order (1024–2047 vertices),
+    * each read from a Fenwick tree of the visited ids in O(log n), so no
+    * bridge rescans all n vertices. */
+  private[graph] def repairConnectivity(
       adjacency: Array[Array[Int]],
       seedVertex: Int,
       jointIp: (Int, Int) => Double,
   ): Unit = {
     val n = adjacency.length
     val visited = new Array[Boolean](n)
+    val fenwick = new Array[Int](n + 1) // fenwick(i) counts visited ids in (i − lowbit(i), i]
+    var nVisited = 0
     val queue = new java.util.ArrayDeque[Int]()
-    def bfsFrom(s: Int): Unit = {
-      if (!visited(s)) { visited(s) = true; queue.add(s) }
-      while (!queue.isEmpty) {
-        val v = queue.poll()
-        adjacency(v).foreach { u => if (!visited(u)) { visited(u) = true; queue.add(u) } }
+    def visit(u: Int): Unit = if (!visited(u)) {
+      visited(u) = true; queue.add(u); nVisited += 1
+      var i = u + 1
+      while (i <= n) { fenwick(i) += 1; i += i & -i }
+    }
+    // The visited id of 0-based rank k in ascending id order.
+    def kthVisited(k: Int): Int = {
+      var pos = 0
+      var rest = k + 1
+      var bit = Integer.highestOneBit(n)
+      while (bit > 0) {
+        val next = pos + bit
+        if (next <= n && fenwick(next) < rest) { pos = next; rest -= fenwick(next) }
+        bit >>= 1
       }
+      pos
+    }
+    def bfsFrom(s: Int): Unit = {
+      visit(s)
+      while (!queue.isEmpty) adjacency(queue.poll()).foreach(visit)
     }
     bfsFrom(seedVertex)
     var u = 0
     while (u < n) {
       if (!visited(u)) {
-        // nearest visited vertex, over a capped deterministic sample
-        val visitedIds = (0 until n).filter(visited)
-        val sample =
-          if (visitedIds.length <= 1024) visitedIds
-          else visitedIds.grouped(math.max(1, visitedIds.length / 1024)).map(_.head).toIndexedSeq
+        val sample = (0 until nVisited by math.max(1, nVisited / 1024)).map(kthVisited)
         val bridge = sample.maxBy(v => jointIp(v, u))
         adjacency(bridge) = adjacency(bridge) :+ u
         bfsFrom(u)

@@ -6,8 +6,8 @@ import repro.core.JointSimilarity
 /** Graph quality metric (paper App. H, Table XI): the mean ratio of a
   * vertex's γ neighbors that appear among its exact top-γ nearest
   * neighbors by joint similarity. Exact neighbor lists are computed as a
-  * distributed all-pairs scan (each partition scans its vertices against
-  * the broadcast store).
+  * distributed all-pairs scan (one Spark job over vertex ids, each vertex
+  * scanned against the broadcast store).
   */
 object GraphQuality {
 
@@ -18,12 +18,9 @@ object GraphQuality {
       w: Array[Double],
       gamma: Int,
   ): Array[Array[Int]] = {
-    import spark.implicits._
     val bStore = spark.sparkContext.broadcast(store)
     val bw = spark.sparkContext.broadcast(w)
-    val n = store.n
-    val rows = spark.range(n.toLong).map { idL =>
-      val o: Int = idL.toInt
+    try FusedIndexBuilder.eachVertex(spark, store.n) { o =>
       val st = bStore.value; val ww = bw.value
       // min-heap on ip: head = current worst of the kept γ
       val minFirst: Ordering[(Double, Int)] =
@@ -38,12 +35,8 @@ object GraphQuality {
         }
         v += 1
       }
-      (o, pq.dequeueAll.iterator.map((p: (Double, Int)) => p._2).toArray)
-    }.collect()
-    val out = new Array[Array[Int]](n)
-    rows.foreach { case (o, ns) => out(o) = ns }
-    bStore.destroy(); bw.destroy()
-    out
+      pq.dequeueAll.iterator.map((p: (Double, Int)) => p._2).toArray
+    } finally { bStore.destroy(); bw.destroy() }
   }
 
   /** Mean overlap of `adjacency`'s first γ entries with the exact top-γ. */

@@ -1,6 +1,5 @@
 package repro.graph
 
-import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.Dataset
 import repro.core.Types.MMObject
 
@@ -36,7 +35,4 @@ object VectorStore {
     require(!arr.contains(null), "duplicate/missing object ids")
     new VectorStore(arr)
   }
-
-  def broadcast(objects: Dataset[MMObject]): Broadcast[VectorStore] =
-    objects.sparkSession.sparkContext.broadcast(collect(objects))
 }

@@ -1,5 +1,6 @@
 package repro.baseline
 
+import org.apache.spark.sql.DataFrame
 import org.scalatest.funsuite.AnyFunSuite
 import repro.{Oracle, SparkSpec}
 import repro.core.JointSimilarity
@@ -43,16 +44,16 @@ class BruteForceSearchSpec extends AnyFunSuite with SparkSpec {
     exact.foreach(e => assert(e.results.length == ds.n))
   }
 
-  test("joint-IP scores agree with a DuckDB SQL formulation (Oracle)") {
+  /** Checks `scores` (id, score) for `queries.head` against Σ_i w_i · Σ_j
+    * q_ij·o_ij recomputed in SQL over the exploded views. */
+  private def assertOracleScores(scores: DataFrame): Unit = {
     val q = queries.head
-    val sparkScores = BruteForceSearch.scores(q, objects, w)
     val exploded = BruteForceSearch.explodedVectors(objects, spark)
     import spark.implicits._
     val qdf = q.vecs.zipWithIndex.flatMap { case (v, mi) =>
       v.zipWithIndex.map { case (x, j) => (mi, j, x) }
     }.toDF("mod", "pos", "qval")
     val wdf = w.zipWithIndex.map { case (x, i) => (i, x) }.toSeq.toDF("mod", "w")
-    // Recompute Σ_i w_i · Σ_j q_ij·o_ij in SQL over the exploded views.
     val sql =
       """SELECT CAST(o.id AS VARCHAR) AS id,
         |       SUM(CAST(w.w AS DOUBLE) * CAST(o.val AS DOUBLE) * CAST(q.qval AS DOUBLE)) AS score
@@ -60,10 +61,20 @@ class BruteForceSearchSpec extends AnyFunSuite with SparkSpec {
         |JOIN qv q ON CAST(o.mod AS INT) = CAST(q.mod AS INT) AND CAST(o.pos AS INT) = CAST(q.pos AS INT)
         |JOIN wt w ON CAST(o.mod AS INT) = CAST(w.mod AS INT)
         |GROUP BY o.id""".stripMargin
-    Oracle.assertEquivalent(
-      sparkScores.selectExpr("CAST(id AS STRING) AS id", "score"),
-      sql,
-      "objs" -> exploded, "qv" -> qdf, "wt" -> wdf)
+    Oracle.assertEquivalent(scores, sql, "objs" -> exploded, "qv" -> qdf, "wt" -> wdf)
+  }
+
+  test("joint-IP scores agree with a DuckDB SQL formulation (Oracle)") {
+    val sparkScores = BruteForceSearch.scores(queries.head, objects, w)
+    assertOracleScores(sparkScores.selectExpr("CAST(id AS STRING) AS id", "score"))
+  }
+
+  test("Oracle catches a wrong joint-IP score") {
+    val sparkScores = BruteForceSearch.scores(queries.head, objects, w)
+    intercept[IllegalArgumentException] {
+      // off by 1e-3 on purpose: the Oracle compares at 6 decimals
+      assertOracleScores(sparkScores.selectExpr("CAST(id AS STRING) AS id", "score + 0.001 AS score"))
+    }
   }
 
   test("one-hot weights reduce topK to single-modality search") {

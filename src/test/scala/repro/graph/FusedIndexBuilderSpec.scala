@@ -1,12 +1,13 @@
 package repro.graph
 
+import org.scalacheck.Gen
 import org.scalatest.funsuite.AnyFunSuite
-import repro.SparkSpec
+import repro.{PropSupport, SparkSpec}
 import repro.core.JointSimilarity
 import repro.core.Types._
 import repro.mmdata.MultiModalSynth
 
-class FusedIndexBuilderSpec extends AnyFunSuite with SparkSpec {
+class FusedIndexBuilderSpec extends AnyFunSuite with SparkSpec with PropSupport {
 
   private val ds = DatasetConfig("idx", n = 300, nQueries = 20, m = 2, dim = 16,
     dLat = 8, nClusters = 15, tau = 0.35, seed = 31L)
@@ -38,15 +39,21 @@ class FusedIndexBuilderSpec extends AnyFunSuite with SparkSpec {
     assert(over <= ds.n / 10, s"$over vertices over gamma")
   }
 
-  test("every vertex is reachable from the seed (component ⑤)") {
-    val visited = new Array[Boolean](index.n)
+  /** Vertices not reachable from `seed`. */
+  private def unreachable(adjacency: Array[Array[Int]], seed: Int): Int = {
+    val visited = new Array[Boolean](adjacency.length)
     val q = new java.util.ArrayDeque[Int]()
-    visited(index.seedVertex) = true; q.add(index.seedVertex)
+    visited(seed) = true; q.add(seed)
     while (!q.isEmpty) {
       val v = q.poll()
-      index.adjacency(v).foreach(u => if (!visited(u)) { visited(u) = true; q.add(u) })
+      adjacency(v).foreach(u => if (!visited(u)) { visited(u) = true; q.add(u) })
     }
-    assert(visited.forall(identity), s"${visited.count(!_)} unreachable vertices")
+    visited.count(!_)
+  }
+
+  test("every vertex is reachable from the seed (component ⑤)") {
+    val missed = unreachable(index.adjacency, index.seedVertex)
+    assert(missed == 0, s"$missed unreachable vertices")
   }
 
   test("seed is the vertex closest to the centroid (component ④)") {
@@ -102,6 +109,57 @@ class FusedIndexBuilderSpec extends AnyFunSuite with SparkSpec {
       IndexConfig(gamma = 8, epsilon = 2, ensureConnectivity = false))
     val avgDeg = mrng.adjacency.map(_.length).sum.toDouble / mrng.n
     assert(avgDeg <= 8.0)
+  }
+
+  test("build reproduces the pinned graph") {
+    // Pinned adjacency hash and seed of the spec's build: a refactor of the
+    // build must not change the graph.
+    assert(java.util.Arrays.deepHashCode(index.adjacency.asInstanceOf[Array[Object]]) == 3175285)
+    assert(index.seedVertex == 18)
+  }
+
+  test("candidate step: N(v) ∪ N(N(v)) \\ {v}, ordered by (-ip, u), top keep") {
+    // Small integer coordinates and weights make ties common, so the id
+    // tie-break is exercised.
+    val smallCase = for {
+      n <- Gen.choose(2, 24)
+      m <- Gen.choose(1, 3)
+      dim <- Gen.choose(1, 4)
+      vecs <- Gen.listOfN(n, Gen.listOfN(m, Gen.listOfN(dim, Gen.choose(-2, 2).map(_.toDouble))))
+      w <- Gen.listOfN(m, Gen.oneOf(0.0, 0.5, 1.0))
+      lists <- Gen.listOfN(n, Gen.listOf(Gen.choose(0, n - 1)).map(_.distinct.take(5)))
+      keep <- Gen.choose(1, 12)
+    } yield {
+      val st = new VectorStore(vecs.map(_.map(_.toArray).toArray).toArray)
+      val nbrs = lists.zipWithIndex.map { case (l, v) => l.filter(_ != v).toArray }.toArray
+      (st, w.toArray, nbrs, keep)
+    }
+    forAllGen(smallCase) { case (st, w, nbrs, keep) =>
+      (0 until st.n).foreach { v =>
+        val (us, ips) = FusedIndexBuilder.candidates(st, w, nbrs, v, keep)
+        val expected = (nbrs(v).toSet ++ nbrs(v).flatMap(u => nbrs(u)) - v).toSeq
+          .map(u => (JointSimilarity.jointIP(w, st.vecs(v), st.vecs(u)), u))
+          .sortBy { case (ip, u) => (-ip, u) }
+          .take(keep)
+        assert(us.toSeq == expected.map(_._2), s"vertex $v")
+        assert(ips.toSeq == expected.map(_._1), s"vertex $v")
+      }
+    }
+  }
+
+  test("without MRNG and bridges, build is one more NNDescent round") {
+    val kg = FusedIndexBuilder.build(spark, store, w,
+      IndexConfig(gamma = 8, epsilon = 2, useMrngSelection = false, ensureConnectivity = false))
+    val nn = FusedIndexBuilder.nnDescentGraph(spark, store, w, gamma = 8, epsilon = 3)
+    assert(kg.adjacency.map(_.toSeq).toSeq == nn.map(_.toSeq).toSeq)
+  }
+
+  test("connectivity repair bridges 20 000 isolated vertices") {
+    val n = 20000
+    val adjacency = Array.fill(n)(Array.empty[Int])
+    FusedIndexBuilder.repairConnectivity(adjacency, seedVertex = 0, (a, b) => -math.abs(a - b).toDouble)
+    assert(adjacency.map(_.length.toLong).sum == n - 1)
+    assert(unreachable(adjacency, 0) == 0)
   }
 
   test("build is deterministic") {
