@@ -1,6 +1,6 @@
 package repro.baseline
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.Dataset
 import repro.core.JointSimilarity
 import repro.core.Types._
 
@@ -43,52 +43,30 @@ object BruteForceSearch {
       else if (minOrd.lt((ip, id), h.head)) { h.dequeue(); h.enqueue((ip, id)) } // (ip,id) beats worst
     }
 
-    val merged = objects.rdd
-      .mapPartitions { it =>
-        val qs = bq.value; val ww = bw.value
-        val heaps = newHeaps(qs.length)
-        it.foreach { o =>
-          val ov = o.vecs.map(_.toArray).toArray
-          var qi = 0
-          while (qi < qs.length) {
-            push(heaps(qi), JointSimilarity.jointIP(ww, qs(qi)._3, ov), o.id)
-            qi += 1
+    val merged = try {
+      objects.rdd
+        .mapPartitions { it =>
+          val qs = bq.value; val ww = bw.value
+          val heaps = newHeaps(qs.length)
+          it.foreach { o =>
+            val ov = o.vecs.map(_.toArray).toArray
+            var qi = 0
+            while (qi < qs.length) {
+              push(heaps(qi), JointSimilarity.jointIP(ww, qs(qi)._3, ov), o.id)
+              qi += 1
+            }
           }
+          Iterator.single(heaps.map(_.dequeueAll.reverse.toArray)) // best-first
         }
-        Iterator.single(heaps.map(_.dequeueAll.reverse.toArray)) // best-first
-      }
-      .treeReduce { (a, b) =>
-        a.indices.map { qi =>
-          (a(qi) ++ b(qi)).sortBy { case (ip, id) => (-ip, id) }.take(k).toArray
-        }.toArray
-      }
-
-    bq.destroy(); bw.destroy()
+        .treeReduce { (a, b) =>
+          a.indices.map { qi =>
+            (a(qi) ++ b(qi)).sortBy { case (ip, id) => (-ip, id) }.take(k).toArray
+          }.toArray
+        }
+    } finally { bq.destroy(); bw.destroy() }
     queries.indices.map { qi =>
       val top = merged(qi)
       ExactResult(queries(qi).qid, queries(qi).gt, top.map(_._2).toSeq, top.map(_._1).toSeq)
     }.toArray
-  }
-
-  /** Full joint-IP score column for one query — used by the DuckDB Oracle
-    * test, which recomputes the same scores in SQL over exploded vectors. */
-  def scores(query: MMQuery, objects: Dataset[MMObject], w: Array[Double]): DataFrame = {
-    val spark = objects.sparkSession
-    import spark.implicits._
-    val bq = spark.sparkContext.broadcast(query.vecs.map(_.toArray).toArray)
-    val bw = spark.sparkContext.broadcast(w)
-    objects
-      .map(o => (o.id, JointSimilarity.jointIP(bw.value, bq.value, o.vecs.map(_.toArray).toArray)))
-      .toDF("id", "score")
-  }
-
-  /** Exploded (object, modality, position, value) view for SQL oracles. */
-  def explodedVectors(objects: Dataset[MMObject], spark: SparkSession): DataFrame = {
-    import spark.implicits._
-    objects
-      .flatMap(o => o.vecs.zipWithIndex.flatMap { case (v, mi) =>
-        v.zipWithIndex.map { case (x, j) => (o.id, mi, j, x) }
-      })
-      .toDF("id", "mod", "pos", "val")
   }
 }

@@ -33,10 +33,12 @@ object JointSearch {
   /** Greedy routing kernel (Algorithm 2). Pure function; runs inside
     * mapPartitions for the Dataset API and on the driver for unit tests.
     *
-    * R is the fixed-size (l) result set ordered by joint IP; H marks
-    * expanded vertices. A `scored` set avoids recomputing IPs for vertices
-    * already evaluated (the paper's H-check plus memoization — identical
-    * result set, fewer dot products).
+    * R, the fixed-size (l) result set, is three parallel arrays sorted by
+    * joint IP descending, then by id; `cursor` is its first unexpanded entry.
+    * `seen` marks every vertex scored so far, so none is scored twice (the
+    * paper's H-check plus memoization — identical result set, fewer dot
+    * products). Neighbours are scored against R's worst IP with the Lemma-4
+    * partial distance, or exactly when that is off.
     *
     * @return (top-k ids, dot products, pruned count, hops, per-iteration
     *         sum of R's IPs — the monotone f(η) of Lemma 3)
@@ -50,80 +52,77 @@ object JointSearch {
       cfg: SearchConfig,
       seed: Long = 99L,
   ): (Array[Int], Long, Long, Long, Array[Double]) = {
+    validateQuery(qVecs, qid, w, store)
     val n = index.n
     val l = math.min(cfg.l, n)
-    var dots = 0L
-    var prunedCnt = 0L
-
-    def exactIp(v: Int): Double = {
-      val r = JointSimilarity.partialJointIP(w, qVecs, store.vecs(v), Double.NegativeInfinity)
+    var dots = 0L; var prunedCnt = 0L; var hops = 0L
+    val (ids, ips, expanded) = (new Array[Int](l), new Array[Double](l), new Array[Boolean](l))
+    var size = 0; var cursor = 0
+    val seen = new Array[Boolean](n)
+    def score(v: Int, threshold: Double): JointSimilarity.PartialResult = {
+      seen(v) = true
+      val r = JointSimilarity.partialJointIP(w, qVecs, store.vecs(v), threshold)
       dots += r.modalitiesScanned
-      r.ip
+      r
     }
-
-    // R ordered worst-last; ties broken by id for determinism.
-    implicit val ord: Ordering[(Double, Int)] =
-      Ordering.Tuple2(Ordering[Double].reverse, Ordering[Int])
-    val r = scala.collection.mutable.TreeSet.empty[(Double, Int)]
-    val inR = new java.util.HashMap[Integer, java.lang.Double]()
-    val scored = new java.util.HashSet[Integer]()
-    val expanded = new java.util.HashSet[Integer]()
-
-    def add(v: Int): Unit = {
-      if (!inR.containsKey(v)) {
-        val ip = exactIp(v)
-        r.add((ip, v)); inR.put(v, ip); scored.add(v)
+    // Puts (ip, v) after each entry of higher IP (by Double.compare), or equal IP and lower id.
+    def insert(ip: Double, v: Int): Unit = {
+      var lo = 0; var hi = size
+      while (lo < hi) {
+        val mid = (lo + hi) >>> 1
+        val c = java.lang.Double.compare(ips(mid), ip)
+        if (c > 0 || (c == 0 && ids(mid) < v)) lo = mid + 1 else hi = mid
       }
+      System.arraycopy(ids, lo, ids, lo + 1, size - lo)
+      System.arraycopy(ips, lo, ips, lo + 1, size - lo)
+      System.arraycopy(expanded, lo, expanded, lo + 1, size - lo)
+      ids(lo) = v; ips(lo) = ip; expanded(lo) = false
+      size += 1
+      if (lo < cursor) cursor = lo
     }
+    def add(v: Int): Unit = if (!seen(v)) insert(score(v, Double.NegativeInfinity).ip, v)
+    def fSum(): Double = { var s = 0.0; var i = 0; while (i < size) { s += ips(i); i += 1 }; s }
+
     // Line 1–3: seed + (l−1) random vertices, scored exactly.
     add(index.seedVertex)
     var c = 0L
-    while (inR.size < l) {
-      val cand = math.floorMod(VecOps.mix64(seed ^ VecOps.mix64(qid * 131 + c)), n.toLong).toInt
-      add(cand)
+    while (size < l) {
+      add(math.floorMod(VecOps.mix64(seed ^ VecOps.mix64(qid * 131 + c)), n.toLong).toInt)
       c += 1
     }
 
-    var hops = 0L
-    val fEta = scala.collection.mutable.ArrayBuffer[Double](r.iterator.map(_._1).sum)
-    var done = false
-    while (!done) {
-      // Line 5: unvisited vertex in R nearest to q.
-      val next = r.iterator.find(p => !expanded.contains(p._2))
-      next match {
-        case None => done = true
-        case Some((_, v)) =>
-          expanded.add(v); hops += 1
-          val nbrs = index.adjacency(v)
-          var i = 0
-          while (i < nbrs.length) {
-            val u = nbrs(i)
-            if (!scored.contains(u) && !inR.containsKey(u)) {
-              val worst = r.last // line 8: z = argmin IP in R
-              if (cfg.usePartialDistance) {
-                val pr = JointSimilarity.partialJointIP(w, qVecs, store.vecs(u), worst._1)
-                dots += pr.modalitiesScanned
-                scored.add(u)
-                if (pr.pruned) prunedCnt += 1
-                else if (pr.ip > worst._1) {
-                  r.remove(worst); inR.remove(worst._2)
-                  r.add((pr.ip, u)); inR.put(u, pr.ip)
-                }
-              } else {
-                val ip = exactIp(u)
-                scored.add(u)
-                if (ip > worst._1) {
-                  r.remove(worst); inR.remove(worst._2)
-                  r.add((ip, u)); inR.put(u, ip)
-                }
-              }
-            }
-            i += 1
-          }
-          fEta += r.iterator.map(_._1).sum
+    val fEta = scala.collection.mutable.ArrayBuilder.make[Double]
+    fEta += fSum()
+    while (cursor < size) {
+      // Line 5: the unexpanded vertex in R nearest to q.
+      expanded(cursor) = true; hops += 1
+      val nbrs = index.adjacency(ids(cursor))
+      var i = 0
+      while (i < nbrs.length) {
+        val u = nbrs(i)
+        if (!seen(u)) {
+          val worst = ips(size - 1) // line 8: z = argmin IP in R
+          val pr = score(u, if (cfg.usePartialDistance) worst else Double.NegativeInfinity)
+          if (pr.pruned) prunedCnt += 1
+          else if (pr.ip > worst) { size -= 1; insert(pr.ip, u) }
+        }
+        i += 1
       }
+      while (cursor < size && expanded(cursor)) cursor += 1
+      fEta += fSum()
     }
-    (r.iterator.take(cfg.k).map(_._2).toArray, dots, prunedCnt, hops, fEta.toArray)
+    (ids.take(cfg.k), dots, prunedCnt, hops, fEta.result())
+  }
+
+  /** Rejects, naming the qid, a query with more weights or slots than the store has modalities, a
+    * slot of another dimension than the store's, or no slot both non-empty and weighted. */
+  private def validateQuery(q: Array[Array[Double]], qid: Long, w: Array[Double], store: VectorStore): Unit = {
+    require(w.length == store.m, s"query $qid: ${w.length} weights for ${store.m} modalities")
+    require(q.length <= store.m, s"query $qid: ${q.length} slots for ${store.m} modalities")
+    for (i <- q.indices if q(i).nonEmpty) require(q(i).length == store.vecs(0)(i).length,
+      s"query $qid: slot $i has dimension ${q(i).length}, the store's ${store.vecs(0)(i).length}")
+    require(q.indices.exists(i => q(i).nonEmpty && w(i) != 0.0),
+      s"query $qid has no slot that is both non-empty and weighted")
   }
 
   /** Distributed search: queries as a Dataset, index + store broadcast. */

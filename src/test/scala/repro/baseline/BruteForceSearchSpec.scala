@@ -44,11 +44,28 @@ class BruteForceSearchSpec extends AnyFunSuite with SparkSpec {
     exact.foreach(e => assert(e.results.length == ds.n))
   }
 
+  /** Joint-IP score of every object for `q`, as (id, score) from Spark. */
+  private def sparkScores(q: MMQuery): DataFrame = {
+    import spark.implicits._
+    val (qv, ww) = (q.vecs.map(_.toArray).toArray, w)
+    objects.map(o => (o.id, JointSimilarity.jointIP(ww, qv, o.vecs.map(_.toArray).toArray))).toDF("id", "score")
+  }
+
+  /** Exploded (object, modality, position, value) view of the objects. */
+  private def explodedVectors: DataFrame = {
+    import spark.implicits._
+    objects
+      .flatMap(o => o.vecs.zipWithIndex.flatMap { case (v, mi) =>
+        v.zipWithIndex.map { case (x, j) => (o.id, mi, j, x) }
+      })
+      .toDF("id", "mod", "pos", "val")
+  }
+
   /** Checks `scores` (id, score) for `queries.head` against Σ_i w_i · Σ_j
     * q_ij·o_ij recomputed in SQL over the exploded views. */
   private def assertOracleScores(scores: DataFrame): Unit = {
     val q = queries.head
-    val exploded = BruteForceSearch.explodedVectors(objects, spark)
+    val exploded = explodedVectors
     import spark.implicits._
     val qdf = q.vecs.zipWithIndex.flatMap { case (v, mi) =>
       v.zipWithIndex.map { case (x, j) => (mi, j, x) }
@@ -65,15 +82,13 @@ class BruteForceSearchSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("joint-IP scores agree with a DuckDB SQL formulation (Oracle)") {
-    val sparkScores = BruteForceSearch.scores(queries.head, objects, w)
-    assertOracleScores(sparkScores.selectExpr("CAST(id AS STRING) AS id", "score"))
+    assertOracleScores(sparkScores(queries.head).selectExpr("CAST(id AS STRING) AS id", "score"))
   }
 
   test("Oracle catches a wrong joint-IP score") {
-    val sparkScores = BruteForceSearch.scores(queries.head, objects, w)
     intercept[IllegalArgumentException] {
       // off by 1e-3 on purpose: the Oracle compares at 6 decimals
-      assertOracleScores(sparkScores.selectExpr("CAST(id AS STRING) AS id", "score + 0.001 AS score"))
+      assertOracleScores(sparkScores(queries.head).selectExpr("CAST(id AS STRING) AS id", "score + 0.001 AS score"))
     }
   }
 

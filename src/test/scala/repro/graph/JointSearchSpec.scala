@@ -1,13 +1,14 @@
 package repro.graph
 
+import org.scalacheck.Gen
 import org.scalatest.funsuite.AnyFunSuite
-import repro.SparkSpec
+import repro.{PropSupport, SparkSpec}
 import repro.baseline.BruteForceSearch
 import repro.core.Types._
 import repro.eval.Metrics
 import repro.mmdata.MultiModalSynth
 
-class JointSearchSpec extends AnyFunSuite with SparkSpec {
+class JointSearchSpec extends AnyFunSuite with SparkSpec with PropSupport {
 
   private val ds = DatasetConfig("js", n = 400, nQueries = 50, m = 2, dim = 16,
     dLat = 8, nClusters = 20, tau = 0.35, seed = 51L)
@@ -115,5 +116,84 @@ class JointSearchSpec extends AnyFunSuite with SparkSpec {
     val b = JointSearch.search(queries, index, store, w, SearchConfig(k = 10, l = 40))
       .collect().sortBy(_.qid).map(_.results)
     assert(a.toSeq == b.toSeq)
+  }
+
+  /** `deepHashCode` of every kernel output (ids, dots, pruned, hops and the
+    * raw bits of f(η)) over `qs`, in qid order. */
+  private def kernelHash(qs: Seq[MMQuery], cfg: SearchConfig): Int =
+    java.util.Arrays.deepHashCode(qs.sortBy(_.qid).map { q =>
+      val (ids, dots, pruned, hops, fEta) =
+        JointSearch.searchKernel(q.vecs.map(_.toArray).toArray, q.qid, w, index, store, cfg)
+      Array[AnyRef](ids, Array(dots, pruned, hops), fEta.map(java.lang.Double.doubleToRawLongBits))
+    }.toArray[AnyRef])
+
+  test("searchKernel reproduces the pinned outputs") {
+    // Taken from the TreeSet kernel that preceded the array-based one.
+    val masked = MultiModalSynth.queries(spark, ds, enc, mask = Seq(true, false)).collect().toSeq
+    val all = queries.collect().toSeq
+    val got = Seq(
+      kernelHash(all, SearchConfig(k = 10, l = 40)),
+      kernelHash(all, SearchConfig(k = 10, l = 60, usePartialDistance = false)),
+      kernelHash(masked, SearchConfig(k = 5, l = 30)))
+    assert(got == Seq(19550856, 193632991, -138518025))
+  }
+
+  test("searchKernel equals the reference kernel on random small graphs") {
+    val coord = Gen.choose(-2, 2).map(_.toDouble) // integer coordinates, so IPs tie
+    val kernelCase = for {
+      n <- Gen.choose(2, 40)
+      m <- Gen.choose(1, 3)
+      dim <- Gen.choose(1, 4)
+      vecs <- Gen.listOfN(n, Gen.listOfN(m, Gen.listOfN(dim, coord)))
+      adj <- Gen.listOfN(n, Gen.listOf(Gen.choose(0, n - 1)).map(_.distinct.take(6)))
+      seedVertex <- Gen.choose(0, n - 1)
+      q <- Gen.listOfN(m, Gen.oneOf(Gen.const(Nil), Gen.listOfN(dim, coord)))
+      w <- Gen.listOfN(m, Gen.oneOf(0.0, 0.5, 1.0, 2.0))
+      k <- Gen.choose(1, n + 2) // k > n returns all n vertices
+      l <- Gen.choose(k, n + 5) // l >= n runs the seeding path that draws every vertex
+      partial <- Gen.oneOf(true, false)
+      qid <- Gen.choose(0L, 1000L)
+    } yield (new VectorStore(vecs.map(_.map(_.toArray).toArray).toArray),
+      FusedIndex(adj.map(_.toArray).toArray, seedVertex, w.toArray),
+      q.map(_.toArray).toArray, w.toArray, SearchConfig(k, l, partial), qid)
+
+    forAllGen(kernelCase, trials = 300) { case (st, idx, qv, ww, cfg, qid) =>
+      if (!qv.indices.exists(i => qv(i).nonEmpty && ww(i) != 0.0))
+        intercept[IllegalArgumentException](JointSearch.searchKernel(qv, qid, ww, idx, st, cfg))
+      else {
+        val (ids, dots, pruned, hops, fEta) = JointSearch.searchKernel(qv, qid, ww, idx, st, cfg)
+        val (rIds, rDots, rPruned, rHops, rFEta) = ReferenceKernel.searchKernel(qv, qid, ww, idx, st, cfg)
+        assert(ids.toSeq == rIds.toSeq)
+        assert((dots, pruned, hops) == ((rDots, rPruned, rHops)))
+        assert(fEta.map(java.lang.Double.doubleToRawLongBits).toSeq ==
+          rFEta.map(java.lang.Double.doubleToRawLongBits).toSeq)
+      }
+    }
+  }
+
+  /** The message of the `IllegalArgumentException` that searching `qv` with
+    * `ww` as query 7 throws. */
+  private def rejection(qv: Array[Array[Double]], ww: Array[Double]): String =
+    intercept[IllegalArgumentException](
+      JointSearch.searchKernel(qv, 7L, ww, index, store, SearchConfig())).getMessage
+
+  private lazy val aQuery: Array[Array[Double]] = queries.head().vecs.map(_.toArray).toArray
+
+  test("searchKernel rejects weights that do not match the store's modalities") {
+    assert(rejection(aQuery, Array(1.0)).contains("query 7"))
+    assert(rejection(aQuery, Array(0.3, 0.3, 0.4)).contains("query 7"))
+  }
+
+  test("searchKernel rejects a query with more slots than the store has modalities") {
+    assert(rejection(aQuery :+ aQuery(0), w).contains("query 7"))
+  }
+
+  test("searchKernel rejects a non-empty slot of another dimension than the store's") {
+    assert(rejection(Array(aQuery(0), aQuery(1).take(5)), w).contains("query 7"))
+  }
+
+  test("searchKernel rejects a query with no slot both non-empty and weighted") {
+    assert(rejection(Array(Array.empty[Double], Array.empty[Double]), w).contains("query 7"))
+    assert(rejection(Array(aQuery(0), Array.empty[Double]), Array(0.0, 1.0)).contains("query 7"))
   }
 }
