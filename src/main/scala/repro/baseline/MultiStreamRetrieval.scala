@@ -46,12 +46,11 @@ object MultiStreamRetrieval {
       ids
     }
 
-    val inter = lists.map(_.toSet).reduce(_ intersect _)
-    // rank-sum over the candidate lists; absent ⇒ never (inter only)
-    val rankSum: Map[Int, Int] = inter.map { id =>
-      id -> lists.map(_.indexOf(id)).sum
-    }.toMap
-    val ranked = inter.toSeq.sortBy(id => (rankSum(id), id))
+    // id → rank in each candidate list; a list's ids are distinct.
+    val ranks: Seq[Map[Int, Int]] = lists.map(_.zipWithIndex.toMap)
+    val inter = ranks.map(_.keySet).reduce(_ intersect _)
+    // rank-sum over the candidate lists (inter only, so every id has a rank)
+    val ranked = inter.toSeq.sortBy(id => (ranks.map(_(id)).sum, id))
     val fill = lists.head.filterNot(inter.contains)
     val top = (ranked ++ fill).take(k)
     MrResult(q.qid, q.gt, top.map(_.toLong), inter.size)

@@ -33,10 +33,12 @@ object JointSimilarity {
 
   /** Incremental joint IP with early exit against `threshold`.
     *
-    * Returns `pruned = true` iff the scan stopped early because the upper
-    * bound fell to/below `threshold` — in that case `ip` is the bound at
-    * the stopping point and the true joint IP is ≤ it (safe to discard).
-    * When `pruned = false`, `ip` is exact.
+    * Returns `pruned = true` iff the scan stopped early, with an active
+    * modality left unscanned, because the upper bound fell to/below
+    * `threshold` — in that case `ip` is the bound at the stopping point and
+    * the true joint IP is ≤ it (safe to discard). When `pruned = false`,
+    * every active modality was scanned and `ip` is exact, whether or not it
+    * beats `threshold`.
     */
   def partialJointIP(
       w: Array[Double],
@@ -47,9 +49,10 @@ object JointSimilarity {
     require(w.length == o.length)
     // Suffix mass Σ_{i>=x} w_i over *active* modalities bounds the unscanned part.
     var remaining = 0.0
+    var active = 0
     var i = 0
     while (i < o.length) {
-      if (i < q.length && q(i).length > 0 && w(i) != 0.0) remaining += math.abs(w(i))
+      if (i < q.length && q(i).length > 0 && w(i) != 0.0) { remaining += math.abs(w(i)); active += 1 }
       i += 1
     }
     var partial = 0.0
@@ -60,7 +63,8 @@ object JointSimilarity {
         partial += w(i) * VecOps.dot(q(i), o(i))
         remaining -= math.abs(w(i))
         scanned += 1
-        if (partial + remaining <= threshold)
+        // Counted, not read off `remaining`: its floating residue is not exactly 0.
+        if (scanned < active && partial + remaining <= threshold)
           return PartialResult(partial + remaining, pruned = true, scanned)
       }
       i += 1
@@ -71,13 +75,4 @@ object JointSimilarity {
   /** Similarity measurement error (Eq. 4): 1 − IP(φ₀(a⁰), φ₀(r⁰)). */
   def sme(gtTarget: Array[Double], resultTarget: Array[Double]): Double =
     1.0 - VecOps.dot(gtTarget, resultTarget)
-
-  /** Concatenated vector [√w₀·v₀, …] — only used by tests to validate
-    * Lemma 1 against the literal construction. */
-  def concatenate(w: Array[Double], vecs: Array[Array[Double]]): Array[Double] = {
-    require(w.length == vecs.length)
-    vecs.iterator.zipWithIndex.flatMap { case (v, i) =>
-      val s = math.sqrt(w(i)); v.iterator.map(_ * s)
-    }.toArray
-  }
 }

@@ -110,7 +110,9 @@ object WeightLearning {
   }
 
   /** Runs the learning loop; `anchors` is the training-query Dataset and
-    * `objects` supplies T = the anchors' true objects. */
+    * `objects` supplies T = the anchors' true objects. Rejects an anchor
+    * with more slots than `m` or with no non-empty slot, and an object of T
+    * with other than `m` modalities. */
   def learn(
       anchors: Dataset[MMQuery],
       objects: Dataset[MMObject],
@@ -120,6 +122,10 @@ object WeightLearning {
     val anchorRows = anchors.collect()
     val nAnchors = anchorRows.length.toDouble
     require(nAnchors > 0, "no training anchors")
+    anchorRows.foreach { a =>
+      require(a.vecs.length <= m, s"anchor ${a.qid}: ${a.vecs.length} slots for $m modalities")
+      require(a.vecs.exists(_.nonEmpty), s"anchor ${a.qid} has no non-empty slot")
+    }
 
     // T: true objects of the anchors (paper §VI-A).
     val gtIds = anchorRows.map(_.gt).toSet
@@ -129,6 +135,7 @@ object WeightLearning {
       .map(o => o.id -> o.vecs.map(_.toArray).toArray)
       .sortBy(_._1)
     require(t.length == gtIds.size, "some anchor gts missing from object set")
+    t.foreach { case (id, ov) => require(ov.length == m, s"object $id: ${ov.length} modalities, m = $m") }
     val tensor = anchorRows.map(a => anchorIps(a, t, m))
 
     var w = Array.fill(m)(cfg.init)

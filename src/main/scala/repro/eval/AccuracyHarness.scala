@@ -24,11 +24,6 @@ object AccuracyHarness {
       learnedWeights: Seq[Double], // empty for JE / MR
   ) {
     def recallAt(k: Int): Double = recalls.find(_._1 == k).get._2
-    def fmt: String = {
-      val rs = recalls.map { case (k, r) => f"R@$k=$r%.4f" }.mkString(" ")
-      f"$framework%-5s ${encoder.take(28)}%-28s $rs SME=$sme%.4f" +
-        (if (learnedWeights.nonEmpty) learnedWeights.map(w => f"$w%.4f").mkString("  w=[", ",", "]") else "")
-    }
   }
 
   final case class GridConfig(

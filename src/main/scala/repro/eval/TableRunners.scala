@@ -7,10 +7,10 @@ import repro.baseline.MultiStreamRetrieval
 import repro.graph.{FusedIndexBuilder, GraphQuality, JointSearch, VectorStore}
 import repro.mmdata.{Datasets, MultiModalSynth}
 
-/** One runner per paper table (Tables III–XXI). Shared by the benchmark
-  * suites in `bench/` (which assert the paper's qualitative shape) and the
-  * `jobs/` spark-submit entrypoints (which print the rows). Paper numbers
-  * are recorded next to measured ones in EXPERIMENTS.md.
+/** One runner per paper table (Tables III–XXI). Each is run by its
+  * benchmark suite in `bench/`, which prints the measured rows next to the
+  * paper's and asserts the paper's qualitative shape. Paper numbers are
+  * recorded next to measured ones in EXPERIMENTS.md.
   */
 object TableRunners {
 
@@ -228,9 +228,4 @@ object TableRunners {
       learnFor(Datasets.audioText(3000L), Seq(Datasets.audioTextEncoder)) ++
       learnFor(Datasets.videoText(3000L), Seq(Datasets.videoTextEncoder))
   }
-
-  // ---- rendering helpers --------------------------------------------
-
-  def renderAccuracy(title: String, rows: Seq[AccuracyHarness.Row]): String =
-    (s"== $title ==" +: rows.map(_.fmt)).mkString("\n")
 }

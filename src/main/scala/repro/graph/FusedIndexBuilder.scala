@@ -95,6 +95,10 @@ object FusedIndexBuilder {
   ): FusedIndex = {
     val n = store.n
     require(n > 1, "index needs at least two objects")
+    require(weights.length == store.m, s"${weights.length} weights for ${store.m} modalities")
+    require(weights.forall(x => !x.isNaN && !x.isInfinite),
+      s"weights must be finite: ${weights.mkString("[", ", ", "]")}")
+    require(weights.exists(_ != 0.0), "every weight is 0")
     val gamma = math.min(cfg.gamma, n - 1)
 
     // ① random initialization + ε NNDescent rounds

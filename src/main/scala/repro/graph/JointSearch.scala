@@ -18,7 +18,8 @@ object JointSearch {
   /** Per-query output. `results` is the approximate top-k (desc joint IP).
     *
     * @param dotProducts   modality-level dot products actually computed
-    * @param prunedObjects objects discarded early by the Lemma-4 bound
+    * @param prunedObjects objects discarded by the Lemma-4 bound before all
+    *                      their active modalities were scanned
     * @param hops          greedy iterations (vertices expanded)
     */
   final case class SearchResult(

@@ -6,11 +6,11 @@ import org.scalatest.funsuite.AnyFunSuite
 
 /** Base for every test: one local-mode SparkSession for the whole run.
   *
-  * Driver heap is set via ``Test / javaOptions`` in build.sbt from
-  * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit). Broadcast joins are disabled so shuffle/join papers actually
-  * exercise the shuffle path at SF~=0.1; re-enable per-query if the
-  * paper's contribution is the broadcast side.
+  * The master is `SPARK_MASTER` (default `local[*]`); the driver heap is
+  * set via ``Test / javaOptions`` in build.sbt from SPARK_DRIVER_MEM.
+  * The program runs no SQL joins or shuffles (it maps vertex and query
+  * ids against broadcast arrays), so the shuffle-partition and
+  * broadcast-join settings below do not shape any measured path.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared

@@ -51,6 +51,18 @@ class MrJeSpec extends AnyFunSuite with SparkSpec {
     }
   }
 
+  test("mergeKernel reproduces the pinned outputs") {
+    // Taken while the intersection was ranked with `indexOf` on each list.
+    val qs = queries.collect().sortBy(_.qid)
+    val got = Seq(20 -> 5, 40 -> 10, 80 -> 10).map { case (l, k) =>
+      java.util.Arrays.deepHashCode(qs.map { q =>
+        val r = MultiStreamRetrieval.mergeKernel(q, oneHot.toArray, store, k, l)
+        Array[AnyRef](Array(r.qid, r.interSize.toLong), r.results.toArray)
+      }.toArray[AnyRef])
+    }
+    assert(got == Seq(872472177, -2002536085, -227883301))
+  }
+
   test("MR rejects queries with no active modality") {
     val q = MMQuery(0L, 0L, Seq(Seq.empty, Seq.empty), Seq.empty)
     intercept[IllegalArgumentException](

@@ -9,6 +9,15 @@ class JointSimilaritySpec extends AnyFunSuite with PropSupport {
   private def unitVec(d: Int, key: Long): Array[Double] =
     VecOps.normalize(VecOps.gaussianVec(key, 1L, 2L, d))
 
+  /** Concatenated vector [√w₀·v₀, …]: the literal construction Lemma 1
+    * is checked against. */
+  private def concatenate(w: Array[Double], vecs: Array[Array[Double]]): Array[Double] = {
+    require(w.length == vecs.length)
+    vecs.iterator.zipWithIndex.flatMap { case (v, i) =>
+      val s = math.sqrt(w(i)); v.iterator.map(_ * s)
+    }.toArray
+  }
+
   /** (weights, query vecs, object vecs) with m modalities of dim d. */
   private val caseGen: Gen[(Array[Double], Array[Array[Double]], Array[Array[Double]])] =
     for {
@@ -26,7 +35,7 @@ class JointSimilaritySpec extends AnyFunSuite with PropSupport {
   test("Lemma 1: joint IP equals IP of the literal concatenation") {
     forAllGen(caseGen) { case (w, q, o) =>
       val viaSum = JointSimilarity.jointIP(w, q, o)
-      val viaConcat = VecOps.dot(JointSimilarity.concatenate(w, q), JointSimilarity.concatenate(w, o))
+      val viaConcat = VecOps.dot(concatenate(w, q), concatenate(w, o))
       assert(math.abs(viaSum - viaConcat) < 1e-9, s"sum=$viaSum concat=$viaConcat")
     }
   }
@@ -100,6 +109,22 @@ class JointSimilaritySpec extends AnyFunSuite with PropSupport {
     assert(pr.modalitiesScanned < 3)
   }
 
+  test("a full scan that loses to the threshold is exact and unpruned") {
+    val d = 8
+    val a = unitVec(d, 300); val b = unitVec(d, 301)
+    val q = Array(a, b)
+    val o = Array(a, b.map(-_)) // IP +1 on modality 0, -1 on modality 1
+    // After modality 0 the bound is 1 + 1 = 2 > 1.5; the scan ends at 0 ≤ 1.5.
+    val pr = JointSimilarity.partialJointIP(Array(1.0, 1.0), q, o, threshold = 1.5)
+    assert(!pr.pruned)
+    assert(pr.modalitiesScanned == 2)
+    assert(math.abs(pr.ip) < 1e-12)
+    // One active modality: nothing can be skipped, so nothing is pruned.
+    val single = JointSimilarity.partialJointIP(Array(1.0, 0.0), q, o, threshold = 2.0)
+    assert(!single.pruned && single.modalitiesScanned == 1)
+    assert(math.abs(single.ip - 1.0) < 1e-12)
+  }
+
   test("full scan reports all active modalities scanned") {
     forAllGen(caseGen) { case (w, q, o) =>
       val active = w.count(_ != 0.0)
@@ -125,7 +150,7 @@ class JointSimilaritySpec extends AnyFunSuite with PropSupport {
   test("concatenate scales each block by sqrt(w)") {
     val w = Array(4.0, 9.0)
     val vecs = Array(Array(1.0, 0.0), Array(0.0, 2.0))
-    val c = JointSimilarity.concatenate(w, vecs)
+    val c = concatenate(w, vecs)
     assert(c.toSeq == Seq(2.0, 0.0, 0.0, 6.0))
   }
 }

@@ -112,6 +112,19 @@ class WeightLearningSpec extends AnyFunSuite with SparkSpec {
       s"hard=${hard.top1History.last} rand=${rand.top1History.last}")
   }
 
+  test("learn rejects inputs that do not match m") {
+    import spark.implicits._
+    val obj = MMObject(0L, Seq(Seq(1.0, 0.0), Seq(0.0, 1.0)))
+    def rejection(anchor: MMQuery, m: Int): String =
+      intercept[IllegalArgumentException](
+        WeightLearning.learn(Seq(anchor).toDS(), Seq(obj).toDS(), m, WLConfig(epochs = 1))).getMessage
+    val ok = MMQuery(5L, gt = 0L, vecs = Seq(Seq(1.0, 0.0), Seq(0.0, 1.0)), comp = Seq.empty)
+    assert(rejection(ok.copy(vecs = ok.vecs.take(1)), m = 1).contains("object 0: 2 modalities, m = 1"))
+    assert(rejection(ok, m = 3).contains("object 0: 2 modalities, m = 3"))
+    assert(rejection(ok.copy(vecs = ok.vecs :+ Seq(1.0, 0.0)), m = 2).contains("anchor 5: 3 slots for 2 modalities"))
+    assert(rejection(ok.copy(vecs = Seq(Seq.empty, Seq.empty)), m = 2).contains("anchor 5 has no non-empty slot"))
+  }
+
   test("anchorGrad rejects an anchor whose gt is missing from T") {
     val t = Array(1L -> Array(Array(1.0, 0.0), Array(0.0, 1.0)))
     val anchor = MMQuery(0L, gt = 99L, vecs = Seq(Seq(1.0, 0.0), Seq(0.0, 1.0)), comp = Seq.empty)

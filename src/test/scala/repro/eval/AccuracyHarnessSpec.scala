@@ -70,12 +70,4 @@ class AccuracyHarnessSpec extends AnyFunSuite with SparkSpec {
     assert(must.learnedWeights(1) > must.learnedWeights(0) * 0.5,
       s"weights=${must.learnedWeights}")
   }
-
-  test("row formatting is stable and parseable") {
-    rows.foreach { r =>
-      assert(r.fmt.contains(r.framework))
-      assert(r.fmt.contains("R@1="))
-      assert(r.fmt.contains("SME="))
-    }
-  }
 }

@@ -178,6 +178,13 @@ class FusedIndexBuilderSpec extends AnyFunSuite with SparkSpec with PropSupport 
   test("build rejects degenerate inputs") {
     val tiny = new VectorStore(Array(Array(Array(1.0))))
     intercept[IllegalArgumentException](FusedIndexBuilder.build(spark, tiny, Array(1.0)))
+    def rejection(ws: Array[Double]): String =
+      intercept[IllegalArgumentException](FusedIndexBuilder.build(spark, store, ws)).getMessage
+    assert(rejection(Array(1.0)).contains("1 weights for 2 modalities"))
+    assert(rejection(Array(0.3, 0.3, 0.4)).contains("3 weights for 2 modalities"))
+    assert(rejection(Array(0.5, Double.NaN)).contains("finite"))
+    assert(rejection(Array(Double.PositiveInfinity, 0.5)).contains("finite"))
+    assert(rejection(Array(0.0, 0.0)).contains("every weight is 0"))
   }
 
   test("mrngSelect caps output at gamma and skips self") {
