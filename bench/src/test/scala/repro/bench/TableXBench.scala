@@ -41,14 +41,13 @@ class TableXBench extends BenchSpec {
   test("Table X shape: single-modal queries lose to full multimodal MUST") {
     // One full-query MUST row (Table III's ResNet50+LSTM) at the same
     // settings is far above any single-modality run.
-    import repro.eval.AccuracyHarness
+    import repro.eval.{AccuracyHarness, PreparedDataset}
     import repro.mmdata.Datasets
-    val ctx = AccuracyHarness.prepare(spark, Datasets.mitStates, TableRunners.accuracyCfg.idx)
-    val full = try {
-      AccuracyHarness.mustRow(spark, ctx,
-        Datasets.mitStatesEncoders.find(_.name == "ResNet50+LSTM").get,
-        TableRunners.accuracyCfg).recallAt(1)
-    } finally ctx.objects.unpersist()
+    val cfg = TableRunners.accuracyCfg
+    val full = PreparedDataset.using(spark, Datasets.mitStates, cfg.idx) { p =>
+      AccuracyHarness.mustRow(p, Datasets.mitStatesEncoders.find(_.name == "ResNet50+LSTM").get, cfg)
+        .recallAt(1)
+    }
     val single = mit.map(_.recallAt(1)).max
     assert(full > single, s"full=$full single=$single")
   }

@@ -59,7 +59,6 @@ object Types {
     * @param auxNoises           query-side noise for modalities 1..m-1
     * @param compNoise           noise of Φ(q⁰..qᵗ⁻¹); NaN ⇒ no composition head
     * @param targetIsComposition use Φ in the target slot for MR/MUST
-    * @param objectNoise         object-side encoding noise (all modalities)
     */
   final case class EncoderConfig(
       name: String,
@@ -67,7 +66,6 @@ object Types {
       auxNoises: Seq[Double],
       compNoise: Double = Double.NaN,
       targetIsComposition: Boolean = false,
-      objectNoise: Double = 0.15,
   ) {
     require(!targetIsComposition || hasComposition,
       s"$name: composition target requires a composition head")

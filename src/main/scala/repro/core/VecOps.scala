@@ -22,14 +22,6 @@ object VecOps {
     s
   }
 
-  /** Squared Euclidean distance. */
-  def l2sq(a: Array[Double], b: Array[Double]): Double = {
-    require(a.length == b.length, s"dim mismatch: ${a.length} vs ${b.length}")
-    var s = 0.0; var i = 0
-    while (i < a.length) { val d = a(i) - b(i); s += d * d; i += 1 }
-    s
-  }
-
   def norm(a: Array[Double]): Double = math.sqrt(dot(a, a))
 
   /** Returns a fresh L2-normalized copy; the zero vector is returned as-is. */
@@ -45,20 +37,6 @@ object VecOps {
     var i = 0
     while (i < a.length) { out(i) = a(i) + s * b(i); i += 1 }
     out
-  }
-
-  def scale(a: Array[Double], s: Double): Array[Double] = a.map(_ * s)
-
-  /** Element-wise sum of many vectors (empty input not allowed). */
-  def sum(vs: Iterable[Array[Double]]): Array[Double] = {
-    val it = vs.iterator
-    require(it.hasNext, "sum of zero vectors")
-    val acc = it.next().clone()
-    while (it.hasNext) {
-      val v = it.next(); var i = 0
-      while (i < acc.length) { acc(i) += v(i); i += 1 }
-    }
-    acc
   }
 
   // ----- deterministic counter-based randomness ------------------------

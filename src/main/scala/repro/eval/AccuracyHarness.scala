@@ -1,11 +1,9 @@
 package repro.eval
 
-import org.apache.spark.sql.{Dataset, SparkSession}
+import org.apache.spark.sql.SparkSession
 import repro.core.WeightLearning
 import repro.core.Types._
-import repro.baseline.{JointEmbeddingSearch, MultiStreamRetrieval}
-import repro.graph.{FusedIndex, FusedIndexBuilder, JointSearch, VectorStore}
-import repro.mmdata.MultiModalSynth
+import repro.baseline.JointEmbeddingSearch
 
 /** Shared runner for the accuracy tables (paper Tables III–VI, VIII, X,
   * XIX–XXI): for one dataset analog it executes the framework × encoder
@@ -39,84 +37,32 @@ object AccuracyHarness {
       queryMask: Seq[Boolean] = Nil, // restricts query modalities (t < m tables)
   )
 
-  /** Context holding the per-dataset artifacts shared across encoder rows:
-    * object vectors and the m single-modality (one-hot) indexes used by MR
-    * and JE. Build once per dataset, reuse for every encoder row. */
-  final class DatasetContext(
-      val ds: DatasetConfig,
-      val objects: Dataset[MMObject],
-      val store: VectorStore,
-      val oneHotIndexes: Seq[FusedIndex],
-  )
-
-  def prepare(spark: SparkSession, ds: DatasetConfig, idx: IndexConfig = IndexConfig()): DatasetContext = {
-    val objects = MultiModalSynth.objects(spark, ds).cache()
-    objects.count()
-    val store = VectorStore.collect(objects)
-    val oneHot = (0 until ds.m).map { i =>
-      FusedIndexBuilder.build(spark, store, MultiStreamRetrieval.oneHot(ds.m, i), idx)
-    }
-    new DatasetContext(ds, objects, store, oneHot)
-  }
-
-  /** Learns weights for one encoder row (training anchors use seedTag 1,
-    * disjoint from the eval queries' seedTag 0). */
-  def learnWeights(
-      spark: SparkSession,
-      ctx: DatasetContext,
-      enc: EncoderConfig,
-      cfg: GridConfig,
-  ): WeightLearning.TrainResult = {
-    val anchors = MultiModalSynth.queries(
-      spark, ctx.ds, enc, mask = cfg.queryMask, seedTag = 1L, nQueries = cfg.nTrainAnchors)
-    WeightLearning.learn(anchors, ctx.objects, ctx.ds.m, cfg.wl)
-  }
-
-  /** One MUST row: learn weights, build the fused index, joint search. */
-  def mustRow(spark: SparkSession, ctx: DatasetContext, enc: EncoderConfig,
-              cfg: GridConfig): Row = {
-    val wl = learnWeights(spark, ctx, enc, cfg)
-    val fused = FusedIndexBuilder.build(spark, ctx.store, wl.weights, cfg.idx)
-    val evalQ = MultiModalSynth.queries(spark, ctx.ds, enc, mask = cfg.queryMask)
-    val kMax = cfg.ks.max
-    val res = JointSearch
-      .search(evalQ, fused, ctx.store, wl.weights, SearchConfig(k = kMax, l = math.max(cfg.searchL, kMax)))
-      .collect()
-    val pairs = res.map(r => (r.gt, r.results)).toSeq
-    Row("MUST", enc.name,
-      cfg.ks.map(k => k -> Metrics.recallSingleGt(pairs, k)),
-      Metrics.meanSme(pairs, ctx.store),
-      wl.weights.toSeq)
+  /** One MUST row: learned weights, the fused index, joint search. */
+  def mustRow(p: PreparedDataset, enc: EncoderConfig, cfg: GridConfig): Row = {
+    val (w, results) = p.must(enc, cfg, cfg.ks.max)
+    row(p, "MUST", enc, cfg, results, w.toSeq)
   }
 
   /** One MR row on the shared one-hot indexes. */
-  def mrRow(spark: SparkSession, ctx: DatasetContext, enc: EncoderConfig,
-            cfg: GridConfig): Row = {
-    val evalQ = MultiModalSynth.queries(spark, ctx.ds, enc, mask = cfg.queryMask)
-    val kMax = cfg.ks.max
-    val res = MultiStreamRetrieval
-      .search(evalQ, ctx.oneHotIndexes, ctx.store, kMax, math.max(cfg.mrL, kMax))
-      .collect()
-    val pairs = res.map(r => (r.gt, r.results)).toSeq
-    Row("MR", enc.name,
-      cfg.ks.map(k => k -> Metrics.recallSingleGt(pairs, k)),
-      Metrics.meanSme(pairs, ctx.store), Nil)
-  }
+  def mrRow(p: PreparedDataset, enc: EncoderConfig, cfg: GridConfig): Row =
+    row(p, "MR", enc, cfg, p.mr(enc, cfg, cfg.ks.max))
 
   /** One JE row: composition vector on the target-modality index. */
-  def jeRow(spark: SparkSession, ctx: DatasetContext, enc: EncoderConfig,
-            cfg: GridConfig): Row = {
-    val evalQ = MultiModalSynth.queries(spark, ctx.ds, enc, mask = cfg.queryMask)
+  def jeRow(p: PreparedDataset, enc: EncoderConfig, cfg: GridConfig): Row = {
     val kMax = cfg.ks.max
     val res = JointEmbeddingSearch
-      .search(evalQ, ctx.oneHotIndexes.head, ctx.store, ctx.ds.m,
+      .search(p.queries(enc, cfg.queryMask), p.oneHotIndexes.head, p.store, p.ds.m,
         SearchConfig(k = kMax, l = math.max(cfg.searchL, kMax)))
       .collect()
-    val pairs = res.map(r => (r.gt, r.results)).toSeq
-    Row("JE", enc.name,
-      cfg.ks.map(k => k -> Metrics.recallSingleGt(pairs, k)),
-      Metrics.meanSme(pairs, ctx.store), Nil)
+    row(p, "JE", enc, cfg, res.map(r => (r.gt, r.results)).toSeq)
   }
+
+  /** Recall@k(1) at each of `cfg.ks` and the mean SME of one framework's
+    * (gt, result ids) pairs. */
+  private def row(p: PreparedDataset, framework: String, enc: EncoderConfig, cfg: GridConfig,
+                  results: Seq[(Long, Seq[Long])], learnedWeights: Seq[Double] = Nil): Row =
+    Row(framework, enc.name, cfg.ks.map(k => k -> Metrics.recallSingleGt(results, k)),
+      Metrics.meanSme(results, p.store), learnedWeights)
 
   /** Full grid: JE rows then MR rows then MUST rows, paper-table order. */
   def runGrid(
@@ -125,13 +71,9 @@ object AccuracyHarness {
       mrMustEncoders: Seq[EncoderConfig],
       jeEncoders: Seq[EncoderConfig],
       cfg: GridConfig = GridConfig(),
-  ): Seq[Row] = {
-    val ctx = prepare(spark, ds, cfg.idx)
-    try {
-      val je = jeEncoders.map(e => jeRow(spark, ctx, e, cfg))
-      val mr = mrMustEncoders.map(e => mrRow(spark, ctx, e, cfg))
-      val must = mrMustEncoders.map(e => mustRow(spark, ctx, e, cfg))
-      je ++ mr ++ must
-    } finally ctx.objects.unpersist()
-  }
+  ): Seq[Row] =
+    PreparedDataset.using(spark, ds, cfg.idx) { p =>
+      jeEncoders.map(jeRow(p, _, cfg)) ++ mrMustEncoders.map(mrRow(p, _, cfg)) ++
+        mrMustEncoders.map(mustRow(p, _, cfg))
+    }
 }

@@ -2,9 +2,10 @@ package repro.eval
 
 import org.apache.spark.sql.SparkSession
 import repro.core.Types._
+import repro.core.WeightLearning
 import repro.baseline.BruteForceSearch
-import repro.graph.{FusedIndexBuilder, JointSearch, VectorStore}
-import repro.mmdata.{Datasets, MultiModalSynth}
+import repro.graph.{FusedIndex, JointSearch, VectorStore}
+import repro.mmdata.Datasets
 
 /** Efficiency / scalability runner (paper Tables VII and XII).
   *
@@ -35,7 +36,7 @@ object EfficiencyHarness {
   final case class Prepared(
       ds: DatasetConfig,
       store: VectorStore,
-      index: repro.graph.FusedIndex,
+      index: FusedIndex,
       weights: Array[Double],
       buildMs: Double,
       queries: Array[MMQuery],
@@ -47,18 +48,13 @@ object EfficiencyHarness {
               idx: IndexConfig = IndexConfig()): Prepared = {
     val ds = Datasets.imageText(n, nQueries)
     val enc = Datasets.imageTextEncoder
-    val objects = MultiModalSynth.objects(spark, ds).cache()
-    objects.count()
-    val store = VectorStore.collect(objects)
-
-    val anchors = MultiModalSynth.queries(spark, ds, enc, seedTag = 1L, nQueries = 200)
-    val w = repro.core.WeightLearning.learn(anchors, objects, ds.m).weights
-
-    val (index, buildMs) = Metrics.timed(FusedIndexBuilder.build(spark, store, w, idx))
-    val queries = MultiModalSynth.queries(spark, ds, enc).collect()
-    val (exact, bruteMs) = Metrics.timed(BruteForceSearch.topK(queries, objects, w, k))
-    objects.unpersist()
-    Prepared(ds, store, index, w, buildMs, queries, exact, bruteMs)
+    PreparedDataset.using(spark, ds, idx) { p =>
+      val w = p.learn(enc, Nil, 200, WeightLearning.WLConfig())
+      val (index, buildMs) = Metrics.timed(p.index(w))
+      val queries = p.queries(enc).collect()
+      val (exact, bruteMs) = Metrics.timed(BruteForceSearch.topK(queries, p.objects, w, k))
+      Prepared(ds, p.store, index, w, buildMs, queries, exact, bruteMs)
+    }
   }
 
   /** Runs MUST at one l over a prepared scale point; returns the l-row. */

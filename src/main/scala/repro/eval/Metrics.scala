@@ -1,6 +1,6 @@
 package repro.eval
 
-import repro.core.VecOps
+import repro.core.{JointSimilarity, VecOps}
 import repro.graph.VectorStore
 
 /** Search-quality metrics (paper §II Performance Metric, Eq. 1 and Eq. 4). */
@@ -28,7 +28,7 @@ object Metrics {
     require(results.nonEmpty)
     results.map { case (gt, ids) =>
       ids.headOption match {
-        case Some(r) => 1.0 - VecOps.dot(store.targetVec(gt), store.targetVec(r))
+        case Some(r) => JointSimilarity.sme(store.targetVec(gt), store.targetVec(r))
         case None    => 1.0
       }
     }.sum / results.size

@@ -2,10 +2,8 @@ package repro.eval
 
 import org.apache.spark.sql.SparkSession
 import repro.core.Types._
-import repro.core.WeightLearning
-import repro.baseline.MultiStreamRetrieval
-import repro.graph.{FusedIndexBuilder, GraphQuality, JointSearch, VectorStore}
-import repro.mmdata.{Datasets, MultiModalSynth}
+import repro.graph.{FusedIndexBuilder, GraphQuality}
+import repro.mmdata.Datasets
 
 /** One runner per paper table (Tables III–XXI). Each is run by its
   * benchmark suite in `bench/`, which prints the measured rows next to the
@@ -34,7 +32,7 @@ object TableRunners {
   def tableVI(spark: SparkSession): Seq[AccuracyHarness.Row] =
     AccuracyHarness.runGrid(spark, Datasets.msCoco,
       Datasets.msCocoEncoders, Datasets.msCocoJeEncoders,
-      accuracyCfg.copy(ks = Seq(10, 50, 100), searchL = 150, mrL = 150))
+      accuracyCfg.copy(ks = Seq(10, 50, 100)))
 
   def tableXXI(spark: SparkSession): Seq[AccuracyHarness.Row] =
     AccuracyHarness.runGrid(spark, Datasets.shoppingBottoms,
@@ -61,28 +59,18 @@ object TableRunners {
   def tableVIII(spark: SparkSession): Seq[ModalityRow] = {
     val ds = Datasets.celebAPlus
     val enc = Datasets.celebAPlusEncoder
-    val ctx = AccuracyHarness.prepare(spark, ds, accuracyCfg.idx)
-    try {
+    PreparedDataset.using(spark, ds, accuracyCfg.idx) { p =>
       Seq(2, 3, 4).map { mPrime =>
-        val mask = (0 until ds.m).map(_ < mPrime)
         // Longer training (wider weight landscape at m = 4) and a larger
         // result set l: graph routing needs a deeper beam as the joint
         // space's intrinsic dimensionality grows with m.
-        val cfg = accuracyCfg.copy(queryMask = mask, searchL = 200,
+        val cfg = accuracyCfg.copy(queryMask = (0 until ds.m).map(_ < mPrime), searchL = 200,
           wl = accuracyCfg.wl.copy(epochs = 150, lr = 0.08))
-        val wl = AccuracyHarness.learnWeights(spark, ctx, enc, cfg)
-        val w = wl.weights.zipWithIndex.map { case (x, i) => if (i < mPrime) x else 0.0 }
-        val fused = FusedIndexBuilder.build(spark, ctx.store, w, cfg.idx)
-        val evalQ = MultiModalSynth.queries(spark, ds, enc, mask = mask)
-        val must = JointSearch.search(evalQ, fused, ctx.store, w, SearchConfig(k = 10, l = cfg.searchL))
-          .collect()
-        val mr = MultiStreamRetrieval.search(evalQ, ctx.oneHotIndexes, ctx.store, 10, cfg.mrL)
-          .collect()
         ModalityRow(mPrime,
-          Metrics.recallSingleGt(must.map(r => (r.gt, r.results)).toSeq, 10),
-          Metrics.recallSingleGt(mr.map(r => (r.gt, r.results)).toSeq, 10))
+          Metrics.recallSingleGt(p.must(enc, cfg, k = 10, maskWeights = true)._2, 10),
+          Metrics.recallSingleGt(p.mr(enc, cfg, k = 10), 10))
       }
-    } finally ctx.objects.unpersist()
+    }
   }
 
   // ---- Table IX: user-defined weights -------------------------------
@@ -93,27 +81,18 @@ object TableRunners {
     * fused index is built once with the learned weights; the search-time
     * weights are the user's (§VII-B Option 2 of Fig. 4(g)). */
   def tableIX(spark: SparkSession): Seq[UserWeightRow] = {
-    val ds = Datasets.mitStates
     val enc = Datasets.mitStatesEncoders.find(_.name == "ResNet50+LSTM").get
-    val objects = MultiModalSynth.objects(spark, ds).cache()
-    objects.count()
-    val store = VectorStore.collect(objects)
-    val anchors = MultiModalSynth.queries(spark, ds, enc, seedTag = 1L, nQueries = accuracyCfg.nTrainAnchors)
-    val wl = WeightLearning.learn(anchors, objects, ds.m, accuracyCfg.wl)
-    val fused = FusedIndexBuilder.build(spark, store, wl.weights, accuracyCfg.idx)
-    val evalQ = MultiModalSynth.queries(spark, ds, enc).cache()
-    val qv = evalQ.collect().map(q => q.qid -> q.vecs.map(_.toArray).toArray).toMap
-    val rows = Seq(0.5, 0.6, 0.7, 0.8, 0.9).map { w0 =>
-      val w = Array(w0, 1.0 - w0)
-      val res = JointSearch.search(evalQ, fused, store, w, SearchConfig(k = 1, l = accuracyCfg.searchL))
-        .collect()
-      val pairs = res.map(r => (qv(r.qid), r.results)).toSeq
-      UserWeightRow(w0, 1.0 - w0,
-        Metrics.meanModalityIp(pairs, store, 0),
-        Metrics.meanModalityIp(pairs, store, 1))
+    PreparedDataset.using(spark, Datasets.mitStates, accuracyCfg.idx) { p =>
+      val fused = p.index(p.learn(enc, Nil, accuracyCfg.nTrainAnchors, accuracyCfg.wl))
+      val qv = p.queries(enc).collect().map(q => q.qid -> q.vecs.map(_.toArray).toArray).toMap
+      Seq(0.5, 0.6, 0.7, 0.8, 0.9).map { w0 =>
+        val pairs = p.search(p.queries(enc), fused, Array(w0, 1.0 - w0), k = 1, accuracyCfg.searchL)
+          .map(r => (qv(r.qid), r.results)).toSeq
+        UserWeightRow(w0, 1.0 - w0,
+          Metrics.meanModalityIp(pairs, p.store, 0),
+          Metrics.meanModalityIp(pairs, p.store, 1))
+      }
     }
-    objects.unpersist(); evalQ.unpersist()
-    rows
   }
 
   // ---- Tables X / XIX / XX: single query modality -------------------
@@ -125,30 +104,23 @@ object TableRunners {
 
   /** t = 1 queries: the fused index is built on all modalities with
     * learned weights; search masks the absent modality's weight to zero
-    * (§VII-B). `encoderPick` selects which named row configs to run. */
+    * (§VII-B). `encoders` are the encoder rows to run. */
   def singleModality(spark: SparkSession, ds: DatasetConfig,
-                     encoders: Seq[EncoderConfig], ks: Seq[Int]): Seq[SingleModalityRow] = {
-    val ctx = AccuracyHarness.prepare(spark, ds, accuracyCfg.idx)
-    try {
+                     encoders: Seq[EncoderConfig], ks: Seq[Int]): Seq[SingleModalityRow] =
+    PreparedDataset.using(spark, ds, accuracyCfg.idx) { p =>
       // One fused index per encoder row (learned on full multimodal anchors).
       encoders.flatMap { enc =>
-        val wl = AccuracyHarness.learnWeights(spark, ctx, enc, accuracyCfg)
-        val fused = FusedIndexBuilder.build(spark, ctx.store, wl.weights, accuracyCfg.idx)
-        Seq(("Target", Seq(true) ++ Seq.fill(ds.m - 1)(false)),
-            ("Auxiliary", Seq(false, true) ++ Seq.fill(ds.m - 2)(false))).map {
-          case (label, mask) =>
-            val w = wl.weights.zipWithIndex.map { case (x, i) => if (mask(i)) x else 0.0 }
-            val evalQ = MultiModalSynth.queries(spark, ds, enc, mask = mask)
-            val res = JointSearch
-              .search(evalQ, fused, ctx.store, w, SearchConfig(k = ks.max, l = accuracyCfg.searchL))
-              .collect()
-            val pairs = res.map(r => (r.gt, r.results)).toSeq
-            SingleModalityRow(ds.name, label, enc.name,
-              ks.map(k => k -> Metrics.recallSingleGt(pairs, k)))
+        val w = p.learn(enc, Nil, accuracyCfg.nTrainAnchors, accuracyCfg.wl)
+        val fused = p.index(w)
+        Seq("Target" -> 0, "Auxiliary" -> 1).map { case (label, i) =>
+          val mask = (0 until ds.m).map(_ == i)
+          val res = p.search(p.queries(enc, mask), fused, PreparedDataset.masked(w, mask), ks.max,
+            accuracyCfg.searchL)
+          val pairs = res.map(r => (r.gt, r.results)).toSeq
+          SingleModalityRow(ds.name, label, enc.name, ks.map(k => k -> Metrics.recallSingleGt(pairs, k)))
         }
       }
-    } finally ctx.objects.unpersist()
-  }
+    }
 
   def tableX(spark: SparkSession): Seq[SingleModalityRow] =
     singleModality(spark, Datasets.mitStates,
@@ -173,19 +145,15 @@ object TableRunners {
       ("VideoText1M", Datasets.videoText(n), Datasets.videoTextEncoder),
     )
     cases.flatMap { case (label, ds, enc) =>
-      val objects = MultiModalSynth.objects(spark, ds).cache()
-      objects.count()
-      val store = VectorStore.collect(objects)
-      val anchors = MultiModalSynth.queries(spark, ds, enc, seedTag = 1L, nQueries = 150)
-      val w = WeightLearning.learn(anchors, objects, ds.m, accuracyCfg.wl).weights
-      val gamma = accuracyCfg.idx.gamma
-      val exact = GraphQuality.exactNeighbors(spark, store, w, gamma)
-      val rows = Seq(1, 2, 3).map { eps =>
-        val adj = FusedIndexBuilder.nnDescentGraph(spark, store, w, gamma, eps)
-        GraphQualityRow(label, eps, GraphQuality.quality(adj, exact, gamma))
+      PreparedDataset.using(spark, ds) { p =>
+        val w = p.learn(enc, Nil, 150, accuracyCfg.wl)
+        val gamma = accuracyCfg.idx.gamma
+        val exact = GraphQuality.exactNeighbors(spark, p.store, w, gamma)
+        Seq(1, 2, 3).map { eps =>
+          val adj = FusedIndexBuilder.nnDescentGraph(spark, p.store, w, gamma, eps)
+          GraphQualityRow(label, eps, GraphQuality.quality(adj, exact, gamma))
+        }
       }
-      objects.unpersist()
-      rows
     }
   }
 
@@ -207,18 +175,11 @@ object TableRunners {
   final case class WeightsRow(dataset: String, encoder: String, weights: Seq[Double])
 
   def tableXIIIToXVIII(spark: SparkSession): Seq[WeightsRow] = {
-    def learnFor(ds: DatasetConfig, encs: Seq[EncoderConfig]): Seq[WeightsRow] = {
-      val objects = MultiModalSynth.objects(spark, ds).cache()
-      objects.count()
-      val rows = encs.map { enc =>
-        val anchors = MultiModalSynth.queries(spark, ds, enc, seedTag = 1L,
-          nQueries = accuracyCfg.nTrainAnchors)
-        val w = WeightLearning.learn(anchors, objects, ds.m, accuracyCfg.wl).weights
-        WeightsRow(ds.name, enc.name, w.toSeq)
+    def learnFor(ds: DatasetConfig, encs: Seq[EncoderConfig]): Seq[WeightsRow] =
+      PreparedDataset.using(spark, ds) { p =>
+        encs.map(enc => WeightsRow(ds.name, enc.name,
+          p.learn(enc, Nil, accuracyCfg.nTrainAnchors, accuracyCfg.wl).toSeq))
       }
-      objects.unpersist()
-      rows
-    }
     learnFor(Datasets.mitStates, Datasets.mitStatesEncoders) ++          // XIII
       learnFor(Datasets.celebA, Datasets.celebAEncoders) ++              // XIV
       learnFor(Datasets.shoppingTshirt, Datasets.shoppingEncoders) ++    // XV

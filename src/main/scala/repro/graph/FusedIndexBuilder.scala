@@ -19,7 +19,6 @@ final case class FusedIndex(
     weights: Array[Double],
 ) extends Serializable {
   def n: Int = adjacency.length
-  def degree(v: Int): Int = adjacency(v).length
   def maxDegree: Int = if (adjacency.isEmpty) 0 else adjacency.iterator.map(_.length).max
 }
 
@@ -169,8 +168,10 @@ object FusedIndexBuilder {
   }
 
   /** MRNG selection (Algorithm 1 lines 11–17): walk candidates in
-    * descending joint IP; accept v iff it is closer to o than to every
-    * already-accepted neighbor (Lemma 2 diversification). */
+    * descending joint IP; accept v unless an already-accepted neighbor u is
+    * strictly closer to it than o is (Lemma 2 diversification). A tie does
+    * not occlude, as in NSG: otherwise an exact duplicate d of o, accepted
+    * first, ties with o on every later candidate, and o keeps only d. */
   def mrngSelect(
       o: Int,
       us: Array[Int],
@@ -188,7 +189,7 @@ object FusedIndexBuilder {
         var j = 0
         while (ok && j < out.length) {
           val u = out(j)
-          if (JointSimilarity.jointIP(w, store.vecs(u), store.vecs(v)) >= ips(i)) ok = false
+          if (JointSimilarity.jointIP(w, store.vecs(u), store.vecs(v)) > ips(i)) ok = false
           j += 1
         }
         if (ok) out += v

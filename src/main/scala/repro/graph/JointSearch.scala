@@ -116,12 +116,15 @@ object JointSearch {
   }
 
   /** Rejects, naming the qid, a query with more weights or slots than the store has modalities, a
-    * slot of another dimension than the store's, or no slot both non-empty and weighted. */
+    * slot of another dimension than the store's, a NaN or infinite component, or no slot both
+    * non-empty and weighted. */
   private def validateQuery(q: Array[Array[Double]], qid: Long, w: Array[Double], store: VectorStore): Unit = {
     require(w.length == store.m, s"query $qid: ${w.length} weights for ${store.m} modalities")
     require(q.length <= store.m, s"query $qid: ${q.length} slots for ${store.m} modalities")
     for (i <- q.indices if q(i).nonEmpty) require(q(i).length == store.vecs(0)(i).length,
       s"query $qid: slot $i has dimension ${q(i).length}, the store's ${store.vecs(0)(i).length}")
+    for (i <- q.indices) require(q(i).forall(java.lang.Double.isFinite),
+      s"query $qid: slot $i has a NaN or infinite component")
     require(q.indices.exists(i => q(i).nonEmpty && w(i) != 0.0),
       s"query $qid has no slot that is both non-empty and weighted")
   }

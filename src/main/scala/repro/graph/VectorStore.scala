@@ -23,14 +23,16 @@ final class VectorStore(val vecs: Array[Array[Array[Double]]]) extends Serializa
 object VectorStore {
 
   /** Collects an object Dataset into an id-indexed store. Ids must be the
-    * contiguous range [0, n). */
+    * contiguous range [0, n), and every vector component finite. */
   def collect(objects: Dataset[MMObject]): VectorStore = {
     val rows = objects.collect()
     val n = rows.length
     val arr = new Array[Array[Array[Double]]](n)
     rows.foreach { o =>
       require(o.id >= 0 && o.id < n, s"non-contiguous object id ${o.id} (n=$n)")
-      arr(o.id.toInt) = o.vecs.map(_.toArray).toArray
+      val vecs = o.vecs.map(_.toArray).toArray
+      require(vecs.forall(_.forall(java.lang.Double.isFinite)), s"object ${o.id} has a NaN or infinite component")
+      arr(o.id.toInt) = vecs
     }
     require(!arr.contains(null), "duplicate/missing object ids")
     new VectorStore(arr)

@@ -70,4 +70,22 @@ class AccuracyHarnessSpec extends AnyFunSuite with SparkSpec {
     assert(must.learnedWeights(1) > must.learnedWeights(0) * 0.5,
       s"weights=${must.learnedWeights}")
   }
+
+  test("grid reproduces the pinned recalls, SME and learned weights") {
+    // (framework, Recall@1/5/10, SME, learned weights), taken before the
+    // set-up moved into PreparedDataset: the refactor must not change a row.
+    val pinned = Seq(
+      ("JE", Seq(0.11666666666666667, 0.5333333333333333, 0.7333333333333333), 0.17045390743181635, Nil),
+      ("MR", Seq(0.3333333333333333, 0.7666666666666667, 0.9), 0.10520631433762068, Nil),
+      ("MUST", Seq(0.4166666666666667, 0.8833333333333333, 0.9333333333333333), 0.08780152228672049,
+        Seq(0.6637258067228011, 0.7580032435162192)))
+    def close(a: Seq[Double], b: Seq[Double]): Boolean =
+      a.length == b.length && a.zip(b).forall { case (x, y) => math.abs(x - y) < 1e-9 }
+    assert(rows.map(_.framework) == pinned.map(_._1))
+    rows.zip(pinned).foreach { case (r, (fw, recalls, sme, weights)) =>
+      assert(close(r.recalls.map(_._2), recalls), s"$fw recalls ${r.recalls}")
+      assert(close(Seq(r.sme), Seq(sme)), s"$fw sme ${r.sme}")
+      assert(close(r.learnedWeights, weights), s"$fw weights ${r.learnedWeights}")
+    }
+  }
 }

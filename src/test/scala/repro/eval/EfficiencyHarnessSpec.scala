@@ -38,4 +38,13 @@ class EfficiencyHarnessSpec extends AnyFunSuite with SparkSpec {
     assert(row.recall >= 0.95 || row.lUsed == 120)
     assert(row.bruteDotsPerQuery == 600 * 2)
   }
+
+  test("runAtL reproduces the pinned recall and dots per query") {
+    // Taken before the set-up moved into PreparedDataset.
+    val pinned = Seq((10, 0.72, 76L), (60, 0.9666666666666667, 283L), (120, 1.0, 516L))
+    pinned.foreach { case (l, recall, dots) =>
+      val row = EfficiencyHarness.runAtL(spark, prepared, k = 5, l = l)
+      assert(math.abs(row.recall - recall) < 1e-9 && row.dotsPerQuery == dots, s"l=$l: $row")
+    }
+  }
 }

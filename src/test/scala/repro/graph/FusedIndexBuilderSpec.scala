@@ -3,7 +3,7 @@ package repro.graph
 import org.scalacheck.Gen
 import org.scalatest.funsuite.AnyFunSuite
 import repro.{PropSupport, SparkSpec}
-import repro.core.JointSimilarity
+import repro.core.{JointSimilarity, VecOps}
 import repro.core.Types._
 import repro.mmdata.MultiModalSynth
 
@@ -160,6 +160,41 @@ class FusedIndexBuilderSpec extends AnyFunSuite with SparkSpec with PropSupport 
     FusedIndexBuilder.repairConnectivity(adjacency, seedVertex = 0, (a, b) => -math.abs(a - b).toDouble)
     assert(adjacency.map(_.length.toLong).sum == n - 1)
     assert(unreachable(adjacency, 0) == 0)
+  }
+
+  test("build on stores with duplicated rows: valid, connected, and no twin keeps only its twin") {
+    // Continuous unit vectors, so the only exact ties are the twins; every
+    // row with dup = true is followed by its twin.
+    val unitVec = (dim: Int) => Gen.listOfN(dim, Gen.choose(-1.0, 1.0)).map(v => VecOps.normalize(v.toArray))
+    val dupCase = for {
+      n0 <- Gen.choose(1, 15)
+      m <- Gen.choose(1, 3)
+      dim <- Gen.choose(2, 4)
+      rows <- Gen.listOfN(n0, Gen.listOfN(m, unitVec(dim)))
+      dup <- Gen.listOfN(n0 - 1, Gen.oneOf(true, false)).map(true :: _)
+      w <- Gen.listOfN(m, Gen.oneOf(0.25, 0.5, 1.0))
+      gamma <- Gen.choose(1, 8)
+      epsilon <- Gen.choose(1, 3)
+    } yield {
+      val vecs = rows.zip(dup).flatMap { case (r, d) => if (d) Seq(r, r) else Seq(r) }
+      val twins = vecs.indices.sliding(2).collect { case Seq(a, b) if vecs(a) eq vecs(b) => (a, b) }.toSeq
+      (new VectorStore(vecs.map(_.toArray).toArray), twins, w.toArray, IndexConfig(gamma, epsilon))
+    }
+    forAllGen(dupCase, trials = 40) { case (st, twins, w, cfg) =>
+      val gamma = math.min(cfg.gamma, st.n - 1)
+      val full = FusedIndexBuilder.build(spark, st, w, cfg)
+      full.adjacency.zipWithIndex.foreach { case (ns, v) =>
+        assert(!ns.contains(v), s"self-loop at $v")
+        assert(ns.forall(u => u >= 0 && u < st.n) && ns.distinct.length == ns.length, s"vertex $v: ${ns.toSeq}")
+      }
+      assert(unreachable(full.adjacency, full.seedVertex) == 0)
+      val noBridge = FusedIndexBuilder.build(spark, st, w, cfg.copy(ensureConnectivity = false))
+      assert(noBridge.adjacency.forall(_.length <= gamma))
+      if (gamma >= 2) twins.foreach { case (a, b) =>
+        assert(noBridge.adjacency(a).exists(_ != b), s"$a keeps only its twin $b")
+        assert(noBridge.adjacency(b).exists(_ != a), s"$b keeps only its twin $a")
+      }
+    }
   }
 
   test("build is deterministic") {

@@ -209,4 +209,18 @@ class JointSearchSpec extends AnyFunSuite with SparkSpec with PropSupport {
     assert(rejection(Array(Array.empty[Double], Array.empty[Double]), w).contains("query 7"))
     assert(rejection(Array(aQuery(0), Array.empty[Double]), Array(0.0, 1.0)).contains("query 7"))
   }
+
+  test("searchKernel rejects a NaN or infinite query component") {
+    for (x <- Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity))
+      assert(rejection(Array(aQuery(0), aQuery(1).updated(3, x)), w).contains("query 7"), s"$x")
+  }
+
+  test("searchKernel accepts a zero-vector query slot and returns k distinct in-range ids") {
+    val zero = Array.fill(ds.dim)(0.0)
+    for (qv <- Seq(Array(zero, aQuery(1)), Array(zero, zero))) {
+      val (ids, _, _, _, _) = JointSearch.searchKernel(qv, 7L, w, index, store, SearchConfig(k = 10, l = 40))
+      assert(ids.length == 10 && ids.distinct.length == 10)
+      assert(ids.forall(id => id >= 0 && id < ds.n))
+    }
+  }
 }
