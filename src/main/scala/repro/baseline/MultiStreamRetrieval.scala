@@ -1,6 +1,7 @@
 package repro.baseline
 
-import org.apache.spark.sql.Dataset
+import org.apache.spark.sql.{Dataset, Encoder}
+import org.apache.spark.sql.catalyst.encoders.ExpressionEncoder
 import repro.core.Types._
 import repro.graph.{FusedIndex, JointSearch, VectorStore}
 
@@ -36,8 +37,7 @@ object MultiStreamRetrieval {
   ): MrResult = {
     val m = indexes.length
     val qv = q.vecs.map(_.toArray).toArray
-    val active = (0 until m).filter(i => i < qv.length && qv(i).length > 0)
-    require(active.nonEmpty, s"query ${q.qid} has no active modality")
+    val active = activeModalities(qv, m, q.qid)
 
     val lists: Seq[Array[Int]] = active.map { i =>
       val w = oneHot(m, i)
@@ -56,7 +56,21 @@ object MultiStreamRetrieval {
     MrResult(q.qid, q.gt, top.map(_.toLong), inter.size)
   }
 
-  /** Distributed MR search over a query Dataset. */
+  /** The indexes of `qv`'s non-empty slots among the first `m`; rejects,
+    * naming the qid, a query with none. */
+  private def activeModalities(qv: Array[Array[Double]], m: Int, qid: Long): Seq[Int] = {
+    val active = (0 until m).filter(i => i < qv.length && qv(i).length > 0)
+    require(active.nonEmpty, s"query $qid has no active modality")
+    active
+  }
+
+  private lazy val resultEncoder: Encoder[MrResult] = ExpressionEncoder[MrResult]()
+
+  /** MR search of every query in `queries` by [[mergeKernel]], on the
+    * driver, as [[JointSearch.search]] runs: eager, so a query that
+    * [[mergeKernel]] would reject throws `IllegalArgumentException` naming
+    * its qid here; no broadcast, and no Spark job for a local query
+    * Dataset; results in query order, as a local Dataset. */
   def search(
       queries: Dataset[MMQuery],
       indexes: Seq[FusedIndex],
@@ -64,13 +78,14 @@ object MultiStreamRetrieval {
       k: Int,
       l: Int,
   ): Dataset[MrResult] = {
-    val spark = queries.sparkSession
-    import spark.implicits._
-    val bIdx = spark.sparkContext.broadcast(indexes.toArray)
-    val bStore = spark.sparkContext.broadcast(store)
-    queries.mapPartitions { it =>
-      val idxs = bIdx.value; val st = bStore.value
-      it.map(q => mergeKernel(q, idxs, st, k, l))
-    }
+    val idxs = indexes.toArray
+    JointSearch.inProcess(queries, resultEncoder) { q =>
+      // Every active slot passes searchKernel's checks under its one-hot
+      // weights if one does: only the weighted-slot check reads w.
+      val qv = q.vecs.map(_.toArray).toArray
+      val first = activeModalities(qv, idxs.length, q.qid).head
+      JointSearch.validateQuery(qv, q.qid, oneHot(idxs.length, first), store)
+      q
+    }(mergeKernel(_, idxs, store, k, l))
   }
 }

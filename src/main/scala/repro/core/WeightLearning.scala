@@ -112,7 +112,8 @@ object WeightLearning {
   /** Runs the learning loop; `anchors` is the training-query Dataset and
     * `objects` supplies T = the anchors' true objects. Rejects an anchor
     * with more slots than `m` or with no non-empty slot, and an object of T
-    * with other than `m` modalities. */
+    * with other than `m` modalities; fails when the steps clamp every
+    * weight to 0, which leaves no joint similarity to build an index on. */
   def learn(
       anchors: Dataset[MMQuery],
       objects: Dataset[MMObject],
@@ -157,6 +158,8 @@ object WeightLearning {
       top1s += hitSum / nAnchors
       w = Array.tabulate(m)(i => math.max(0.0, w(i) - cfg.lr * gradSum(i) / nAnchors))
     }
+    require(w.exists(_ > 0.0), s"weight learning clamped every weight to 0 (max(0, ·) after each step, " +
+      s"lr ${cfg.lr}, ${cfg.epochs} epochs): no modality ranks the anchors' true objects above their negatives")
     TrainResult(w, losses.result(), top1s.result())
   }
 }

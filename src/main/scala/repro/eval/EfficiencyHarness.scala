@@ -11,11 +11,13 @@ import repro.mmdata.Datasets
   *
   * Ground truth here is the *exact* joint-similarity top-k (Recall@k(k)),
   * obtained from the brute-force scan — the same scan that plays the role
-  * of MUST--. Wall-clock on local Spark carries job-scheduling overhead
-  * that the paper's single-node C++ kernels do not have, so each row also
-  * reports the algorithmic cost driver: the number of modality-level dot
-  * products (per query), whose growth (linear for brute force, ~flat for
-  * the graph) is the claim Table VII makes.
+  * of MUST--. MUST's wall-clock is driver-side search on nproc threads
+  * ([[JointSearch.search]] runs in process), while the brute-force scan is
+  * a Spark job with its scheduling overhead, which the paper's single-node
+  * C++ kernels do not have. So each row also reports the algorithmic cost
+  * driver: the number of modality-level dot products (per query), whose
+  * growth (linear for brute force, ~flat for the graph) is the claim
+  * Table VII makes.
   */
 object EfficiencyHarness {
 

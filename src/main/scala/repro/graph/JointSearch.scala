@@ -1,17 +1,24 @@
 package repro.graph
 
-import org.apache.spark.sql.Dataset
+import java.util.stream.IntStream
+import scala.reflect.ClassTag
+import org.apache.spark.sql.{Dataset, Encoder, Encoders}
+import org.apache.spark.sql.catalyst.InternalRow
+import org.apache.spark.sql.catalyst.encoders.ExpressionEncoder
+import org.apache.spark.sql.catalyst.plans.logical.LocalRelation
+import org.apache.spark.sql.catalyst.util.ArrayData
 import repro.core.{JointSimilarity, VecOps}
 import repro.core.Types._
 
 /** Merging-free joint search on the fused index (paper §VII-B, Algorithm 2)
   * plus the multi-vector computation optimization (Eq. 8/9, Lemma 4).
   *
-  * Queries are a DataFrame; the compact index and vector store are
-  * broadcast and each partition runs the greedy routing kernel per query —
-  * the "index-pruned scan" formulation of the search: instead of scanning
-  * all n objects, each query touches only the vertices the graph routes it
-  * through.
+  * Search runs in process, as the paper's single-node kernel does: the
+  * driver already holds the index and the vector store, so it collects the
+  * query rows and runs the greedy routing kernel per query on its own
+  * cores — the "index-pruned scan" formulation of the search: instead of
+  * scanning all n objects, each query touches only the vertices the graph
+  * routes it through.
   */
 object JointSearch {
 
@@ -31,8 +38,8 @@ object JointSearch {
       hops: Long,
   )
 
-  /** Greedy routing kernel (Algorithm 2). Pure function; runs inside
-    * mapPartitions for the Dataset API and on the driver for unit tests.
+  /** Greedy routing kernel (Algorithm 2). Pure function; [[search]] runs it
+    * once per query, on the common fork-join pool.
     *
     * R, the fixed-size (l) result set, is three parallel arrays sorted by
     * joint IP descending, then by id; `cursor` is its first unexpanded entry.
@@ -118,7 +125,7 @@ object JointSearch {
   /** Rejects, naming the qid, a query with more weights or slots than the store has modalities, a
     * slot of another dimension than the store's, a NaN or infinite component, or no slot both
     * non-empty and weighted. */
-  private def validateQuery(q: Array[Array[Double]], qid: Long, w: Array[Double], store: VectorStore): Unit = {
+  private[repro] def validateQuery(q: Array[Array[Double]], qid: Long, w: Array[Double], store: VectorStore): Unit = {
     require(w.length == store.m, s"query $qid: ${w.length} weights for ${store.m} modalities")
     require(q.length <= store.m, s"query $qid: ${q.length} slots for ${store.m} modalities")
     for (i <- q.indices if q(i).nonEmpty) require(q(i).length == store.vecs(0)(i).length,
@@ -129,26 +136,69 @@ object JointSearch {
       s"query $qid has no slot that is both non-empty and weighted")
   }
 
-  /** Distributed search: queries as a Dataset, index + store broadcast. */
+  /** Derived once: given a product encoder, `createDataset` would derive its
+    * serializer and deserializer expressions again on every call. */
+  private lazy val resultEncoder: Encoder[SearchResult] = ExpressionEncoder[SearchResult]()
+
+  /** Joint search of every query in `queries`, each scored alone by
+    * [[searchKernel]] with its default seed, on the driver.
+    *
+    * Eager: the queries are read and searched before this returns, so a
+    * query that fails validation throws `IllegalArgumentException` naming
+    * its qid here, not at a later action. A local query Dataset
+    * (`createDataset` over a Seq) is read without a Spark job or a query
+    * plan, and no broadcast is made. The results are in the order
+    * `queries.collect()` returns, as a local Dataset whose actions start no
+    * job either.
+    */
   def search(
       queries: Dataset[MMQuery],
       index: FusedIndex,
       store: VectorStore,
       w: Array[Double],
       cfg: SearchConfig = SearchConfig(),
-  ): Dataset[SearchResult] = {
-    val spark = queries.sparkSession
-    import spark.implicits._
-    val bIdx = spark.sparkContext.broadcast(index)
-    val bStore = spark.sparkContext.broadcast(store)
-    val bw = spark.sparkContext.broadcast(w)
-    queries.mapPartitions { it =>
-      val idx = bIdx.value; val st = bStore.value; val ww = bw.value
-      it.map { q =>
-        val qv = q.vecs.map(_.toArray).toArray
-        val (ids, dots, pruned, hops, _) = searchKernel(qv, q.qid, ww, idx, st, cfg)
-        SearchResult(q.qid, q.gt, ids.map(_.toLong).toSeq, dots, pruned, hops)
-      }
+  ): Dataset[SearchResult] =
+    inProcess(queries, resultEncoder) { q =>
+      val qv = q.vecs.map(_.toArray).toArray
+      validateQuery(qv, q.qid, w, store)
+      (q, qv)
+    } { case (q, qv) =>
+      val (ids, dots, pruned, hops, _) = searchKernel(qv, q.qid, w, index, store, cfg)
+      SearchResult(q.qid, q.gt, ids.map(_.toLong).toSeq, dots, pruned, hops)
     }
+
+  /** The driver-side runner of joint and MR search. Reads the [[rows]] of
+    * `queries` and runs `check` on each on the calling thread, so that a
+    * rejection keeps its own type and message; then runs `score` over a
+    * parallel stream on the common fork-join pool (nproc threads with the
+    * caller) and returns the results in query order as a local Dataset
+    * encoded by `enc`. */
+  private[repro] def inProcess[A: ClassTag, R: ClassTag](queries: Dataset[MMQuery], enc: Encoder[R])(
+      check: MMQuery => A)(score: A => R): Dataset[R] = {
+    val checked = rows(queries).map(check)
+    val out = new Array[R](checked.length)
+    IntStream.range(0, checked.length).parallel().forEach(i => out(i) = score(checked(i)))
+    queries.sparkSession.createDataset(out.toSeq)(enc)
+  }
+
+  private lazy val querySchema = Encoders.product[MMQuery].schema
+
+  /** The rows of `queries`, in the order `collect()` returns them. A Dataset
+    * made by `createDataset` over a Seq is a `LocalRelation` of encoded rows,
+    * which are decoded here directly: `collect()` would analyse, optimise and
+    * plan the query and generate a decoder on every call, several times the
+    * kernel's cost for one query. Any other Dataset is collected. */
+  private[repro] def rows(queries: Dataset[MMQuery]): Array[MMQuery] = queries.queryExecution.logical match {
+    case r: LocalRelation if r.schema == querySchema => r.data.iterator.map(decodeQuery).toArray
+    case _ => queries.collect()
+  }
+
+  /** An [[MMQuery]] from a row in `querySchema`, nulls kept as `collect()` keeps them. */
+  private def decodeQuery(row: InternalRow): MMQuery = {
+    def doubles(a: ArrayData): Seq[Double] = if (a == null) null else a.toDoubleArray().toSeq
+    val vecs = row.getArray(2)
+    MMQuery(row.getLong(0), row.getLong(1),
+      if (vecs == null) null else Seq.tabulate(vecs.numElements())(j => doubles(vecs.getArray(j))),
+      doubles(row.getArray(3)))
   }
 }

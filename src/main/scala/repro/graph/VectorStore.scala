@@ -7,9 +7,9 @@ import repro.core.Types.MMObject
   *
   * Object ids are the contiguous range [0, n) produced by
   * [[repro.mmdata.MultiModalSynth.objects]], so vectors live in a flat
-  * array indexed by id — the structure every mapPartitions kernel (index
-  * build scoring, MRNG pruning, beam search) reads after a single
-  * `sparkContext.broadcast`. At the reproduction scales (n ≤ ~50k, m ≤ 4,
+  * array indexed by id — the structure the index build's Spark jobs
+  * (scoring, MRNG pruning) read from a broadcast, and that search reads
+  * in place on the driver. At the reproduction scales (n ≤ ~50k, m ≤ 4,
   * dim 24) this is ~20 MB, comfortably below broadcast limits; the paper's
   * single-node C++ kernels hold exactly the same array in RAM.
   */

@@ -1,5 +1,6 @@
 package repro
 
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
@@ -8,14 +9,48 @@ import org.scalatest.funsuite.AnyFunSuite
   *
   * The master is `SPARK_MASTER` (default `local[*]`); the driver heap is
   * set via ``Test / javaOptions`` in build.sbt from SPARK_DRIVER_MEM.
-  * The program runs no SQL joins or shuffles (it maps vertex and query
-  * ids against broadcast arrays), so the shuffle-partition and
-  * broadcast-join settings below do not shape any measured path.
+  * The program runs no SQL joins or shuffles (the index build maps vertex
+  * ids against broadcast arrays, and search runs on the driver), so the
+  * shuffle-partition and broadcast-join settings below do not shape any
+  * measured path.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
   override def afterAll(): Unit = { super.afterAll() }
+
+  /** `f`'s value, the Spark jobs it started and the broadcasts it created.
+    * Jobs are the `onJobStart` events between two marker jobs: a listener
+    * gets its events in order, so once the second marker is seen every job
+    * of `f` has been. Broadcasts are the id gap between two probe
+    * broadcasts, made inside the markers. */
+  def sparkWork[A](f: => A): (A, Int, Long) = {
+    val sc = spark.sparkContext
+    val markers = new java.util.concurrent.atomic.AtomicInteger
+    val jobs = new java.util.concurrent.atomic.AtomicInteger
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        if (Option(e.properties).exists(_.getProperty("spark.jobGroup.id") == "sparkWork.marker")) markers.incrementAndGet()
+        else if (markers.get == 1) jobs.incrementAndGet()
+    }
+    def marker(): Unit = {
+      sc.setJobGroup("sparkWork.marker", "marker")
+      try sc.parallelize(Seq(0), 1).count() finally sc.clearJobGroup()
+    }
+    sc.addSparkListener(listener)
+    try {
+      marker()
+      val b0 = sc.broadcast(0)
+      val a = f
+      val b1 = sc.broadcast(0)
+      marker()
+      b0.destroy(); b1.destroy()
+      val deadline = System.nanoTime() + 30e9.toLong
+      while (markers.get < 2 && System.nanoTime() < deadline) Thread.sleep(5)
+      assert(markers.get == 2, "the listener did not see the second marker job")
+      (a, jobs.get, b1.id - b0.id - 1)
+    } finally sc.removeSparkListener(listener)
+  }
 }
 
 object SparkSpec {

@@ -69,6 +69,55 @@ class MrJeSpec extends AnyFunSuite with SparkSpec {
       MultiStreamRetrieval.mergeKernel(q, oneHot.toArray, store, 5, 20))
   }
 
+  private lazy val localQueries = spark.createDataset(queries.collect().toSeq)(queries.encoder)
+
+  test("MR search over a local query Dataset starts no Spark job and creates no broadcast") {
+    val (qs, indexes, st) = (localQueries, oneHot, store) // made before counting: each runs jobs
+    val (res, jobs, broadcasts) =
+      sparkWork(MultiStreamRetrieval.search(qs, indexes, st, k = 10, l = 40).collect())
+    assert(res.length == ds.nQueries)
+    assert(jobs == 0, s"$jobs Spark jobs")
+    assert(broadcasts == 0, s"$broadcasts broadcasts")
+  }
+
+  test("MR search returns each query's mergeKernel output in query order, as a local Dataset") {
+    val repartitioned = queries.repartition(7).cache()
+    try for (qs <- Seq(localQueries, repartitioned)) {
+      val expected = qs.collect().toSeq.map(MultiStreamRetrieval.mergeKernel(_, oneHot.toArray, store, 10, 40))
+      val found = MultiStreamRetrieval.search(qs, oneHot, store, k = 10, l = 40)
+      val (res, jobs, _) = sparkWork(found.collect())
+      assert(res.toSeq == expected)
+      assert(jobs == 0, s"collecting the results started $jobs Spark jobs")
+    } finally repartitioned.unpersist()
+  }
+
+  test("MR search over an empty query Dataset returns an empty local result") {
+    for (qs <- Seq(localQueries.limit(0), queries.filter(_.qid < 0))) {
+      val found = MultiStreamRetrieval.search(qs, oneHot, store, k = 10, l = 40)
+      val (res, jobs, _) = sparkWork(found.collect())
+      assert(res.isEmpty && jobs == 0, s"${res.length} results, $jobs Spark jobs")
+    }
+  }
+
+  /** The message of the `IllegalArgumentException` that MR search throws
+    * for a local query Dataset of the first query and `bad`. */
+  private def searchRejection(bad: MMQuery): String = {
+    val qs = spark.createDataset(Seq(queries.head(), bad))(queries.encoder)
+    intercept[IllegalArgumentException](
+      MultiStreamRetrieval.search(qs, oneHot, store, k = 5, l = 20)).getMessage
+  }
+
+  test("MR search rejects a query with a NaN component, naming its qid") {
+    val q = queries.head()
+    assert(searchRejection(q.copy(qid = 1007L, vecs = Seq(q.vecs(0), q.vecs(1).updated(3, Double.NaN))))
+      .contains("query 1007"))
+  }
+
+  test("MR search rejects a query with no active modality, naming its qid") {
+    val q = queries.head()
+    assert(searchRejection(q.copy(qid = 1007L, vecs = Seq(Seq.empty, Seq.empty))).contains("query 1007"))
+  }
+
   test("JE searches the composition vector on the target index") {
     val res = JointEmbeddingSearch.search(queries, oneHot.head, store, ds.m,
       SearchConfig(k = 10, l = 40)).collect()

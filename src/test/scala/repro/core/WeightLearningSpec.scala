@@ -76,6 +76,17 @@ class WeightLearningSpec extends AnyFunSuite with SparkSpec {
     assert(r.weights.forall(_ >= 0.0))
   }
 
+  test("learn fails, naming the cause, when every weight is clamped to 0") {
+    import spark.implicits._
+    // Each anchor is the negation of its true object, so every modality's
+    // gradient is positive and one large step clamps every weight to 0.
+    val negated = objects.collect().sortBy(_.id).take(20)
+      .map(o => MMQuery(o.id, gt = o.id, vecs = o.vecs.map(_.map(-_)), comp = Seq.empty))
+    val e = intercept[IllegalArgumentException](
+      WeightLearning.learn(negated.toSeq.toDS(), objects, ds.m, WLConfig(epochs = 5, lr = 100.0)))
+    assert(e.getMessage.contains("clamped every weight to 0"), e.getMessage)
+  }
+
   test("learn: top-1 training accuracy improves over the run") {
     val r = WeightLearning.learn(anchors, objects, ds.m, WLConfig(epochs = 60, lr = 0.05))
     val early = r.top1History.take(5).max

@@ -1,5 +1,7 @@
 package repro.graph
 
+import org.apache.spark.sql.execution.QueryExecution
+import org.apache.spark.sql.util.QueryExecutionListener
 import org.scalacheck.Gen
 import org.scalatest.funsuite.AnyFunSuite
 import repro.{PropSupport, SparkSpec}
@@ -116,6 +118,92 @@ class JointSearchSpec extends AnyFunSuite with SparkSpec with PropSupport {
     val b = JointSearch.search(queries, index, store, w, SearchConfig(k = 10, l = 40))
       .collect().sortBy(_.qid).map(_.results)
     assert(a.toSeq == b.toSeq)
+  }
+
+  private lazy val localQueries = spark.createDataset(queries.collect().toSeq)(queries.encoder)
+
+  test("search over a local query Dataset starts no Spark job and creates no broadcast") {
+    val (qs, idx, st) = (localQueries, index, store) // made before counting: each runs jobs
+    val (res, jobs, broadcasts) = sparkWork(JointSearch.search(qs, idx, st, w).collect())
+    assert(res.length == ds.nQueries)
+    assert(jobs == 0, s"$jobs Spark jobs")
+    assert(broadcasts == 0, s"$broadcasts broadcasts")
+  }
+
+  test("search returns each query's searchKernel output in query order, as a local Dataset") {
+    val cfg = SearchConfig(k = 10, l = 40)
+    val repartitioned = queries.repartition(7).cache()
+    try for (qs <- Seq(localQueries, repartitioned)) {
+      val expected = qs.collect().toSeq.map { q =>
+        val (ids, dots, pruned, hops, _) =
+          JointSearch.searchKernel(q.vecs.map(_.toArray).toArray, q.qid, w, index, store, cfg)
+        JointSearch.SearchResult(q.qid, q.gt, ids.map(_.toLong).toSeq, dots, pruned, hops)
+      }
+      val found = JointSearch.search(qs, index, store, w, cfg)
+      val (res, jobs, _) = sparkWork(found.collect())
+      assert(res.toSeq == expected)
+      assert(jobs == 0, s"collecting the results started $jobs Spark jobs")
+    } finally repartitioned.unpersist()
+  }
+
+  test("the rows of a local query Dataset are read as collect() returns them") {
+    val q = queries.head()
+    val odd = Seq(q.copy(qid = 1L, vecs = Seq(q.vecs(0), Seq.empty)), q.copy(qid = 2L, comp = null),
+      q.copy(qid = 3L, vecs = Seq(q.vecs(0), null)), q.copy(qid = 4L, vecs = null))
+    val qs = spark.createDataset(queries.collect().toSeq ++ odd)(queries.encoder)
+    assert(JointSearch.rows(qs).toSeq == qs.collect().toSeq)
+  }
+
+  test("search over a local query Dataset runs no query before it returns") {
+    val (qs, idx, st) = (localQueries, index, store)
+    val seen = new java.util.concurrent.ConcurrentLinkedQueue[QueryExecution]
+    val listener = new QueryExecutionListener {
+      override def onSuccess(funcName: String, qe: QueryExecution, durationNs: Long): Unit = seen.add(qe)
+      override def onFailure(funcName: String, qe: QueryExecution, e: Exception): Unit = seen.add(qe)
+    }
+    // Runs a marker query and waits until the listener has seen it, so that
+    // every query the listener saw before it ran before the marker.
+    def marker(): Unit = {
+      val m = spark.range(1)
+      m.collect()
+      val deadline = System.nanoTime() + 30e9.toLong
+      while (!seen.contains(m.queryExecution) && System.nanoTime() < deadline) Thread.sleep(5)
+      assert(seen.contains(m.queryExecution), "the listener did not see the marker query")
+    }
+    spark.listenerManager.register(listener)
+    try {
+      marker()
+      seen.clear()
+      JointSearch.search(qs, idx, st, w)
+      marker()
+      assert(seen.size == 1, s"${seen.size - 1} queries ran inside search")
+    } finally spark.listenerManager.unregister(listener)
+  }
+
+  test("search over an empty query Dataset returns an empty local result") {
+    for (qs <- Seq(localQueries.limit(0), queries.filter(_.qid < 0))) {
+      val found = JointSearch.search(qs, index, store, w)
+      val (res, jobs, _) = sparkWork(found.collect())
+      assert(res.isEmpty && jobs == 0, s"${res.length} results, $jobs Spark jobs")
+    }
+  }
+
+  /** The message of the `IllegalArgumentException` that `search` throws
+    * for a local query Dataset of the first query and `bad`. */
+  private def searchRejection(bad: MMQuery): String = {
+    val qs = spark.createDataset(Seq(queries.head(), bad))(queries.encoder)
+    intercept[IllegalArgumentException](JointSearch.search(qs, index, store, w)).getMessage
+  }
+
+  test("search rejects a query with a NaN component, naming its qid") {
+    val q = queries.head()
+    assert(searchRejection(q.copy(qid = 1007L, vecs = Seq(q.vecs(0), q.vecs(1).updated(3, Double.NaN))))
+      .contains("query 1007"))
+  }
+
+  test("search rejects a query with no slot both non-empty and weighted, naming its qid") {
+    val q = queries.head()
+    assert(searchRejection(q.copy(qid = 1007L, vecs = Seq(Seq.empty, Seq.empty))).contains("query 1007"))
   }
 
   /** `deepHashCode` of every kernel output (ids, dots, pruned unless
