@@ -14,20 +14,23 @@ import repro.graph.{FusedIndex, JointSearch, VectorStore}
   */
 object JointEmbeddingSearch {
 
-  /** Single-channel search of the composition vector on the target index. */
+  /** Single-channel search of the composition vector on the target index,
+    * on the driver, as [[JointSearch.search]] runs: each query's `comp` goes
+    * to slot 0 and its other `m - 1` slots are empty. Eager, so a query with
+    * a missing, empty or `null` composition vector throws
+    * `IllegalArgumentException` naming its qid here; no broadcast, no Spark
+    * job for a local query Dataset and one of at most `defaultParallelism`
+    * tasks to read any other; results in query order, as a local Dataset. */
   def search(
       queries: Dataset[MMQuery],
       targetIndex: FusedIndex,
       store: VectorStore,
       m: Int,
       cfg: SearchConfig,
-  ): Dataset[JointSearch.SearchResult] = {
-    val spark = queries.sparkSession
-    import spark.implicits._
-    val compQueries = queries.map { q =>
-      require(q.comp.nonEmpty, s"query ${q.qid} has no composition vector — JE needs a multimodal head")
-      q.copy(vecs = q.comp +: Seq.fill(m - 1)(Seq.empty[Double]))
+  ): Dataset[JointSearch.SearchResult] =
+    JointSearch.searchSlots(queries, targetIndex, store, MultiStreamRetrieval.oneHot(m, 0), cfg) { q =>
+      require(q.comp != null && q.comp.nonEmpty,
+        s"query ${q.qid} has no composition vector — JE needs a multimodal head")
+      Array.tabulate(m)(i => if (i == 0) q.comp.toArray else Array.emptyDoubleArray)
     }
-    JointSearch.search(compQueries, targetIndex, store, MultiStreamRetrieval.oneHot(m, 0), cfg)
-  }
 }

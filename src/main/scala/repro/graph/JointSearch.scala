@@ -14,7 +14,7 @@ import repro.core.Types._
   * plus the multi-vector computation optimization (Eq. 8/9, Lemma 4).
   *
   * Search runs in process, as the paper's single-node kernel does: the
-  * driver already holds the index and the vector store, so it collects the
+  * driver already holds the index and the vector store, so it reads the
   * query rows and runs the greedy routing kernel per query on its own
   * cores — the "index-pruned scan" formulation of the search: instead of
   * scanning all n objects, each query touches only the vertices the graph
@@ -147,9 +147,10 @@ object JointSearch {
     * query that fails validation throws `IllegalArgumentException` naming
     * its qid here, not at a later action. A local query Dataset
     * (`createDataset` over a Seq) is read without a Spark job or a query
-    * plan, and no broadcast is made. The results are in the order
-    * `queries.collect()` returns, as a local Dataset whose actions start no
-    * job either.
+    * plan; any other Dataset in `MMQuery`'s schema by one Spark job of at
+    * most `defaultParallelism` tasks (see [[rows]]). No broadcast is made.
+    * The results are in the order `queries.collect()` returns, as a local
+    * Dataset whose actions start no job either.
     */
   def search(
       queries: Dataset[MMQuery],
@@ -157,9 +158,20 @@ object JointSearch {
       store: VectorStore,
       w: Array[Double],
       cfg: SearchConfig = SearchConfig(),
-  ): Dataset[SearchResult] =
+  ): Dataset[SearchResult] = searchSlots(queries, index, store, w, cfg)(_.vecs.map(_.toArray).toArray)
+
+  /** [[search]] with each query's vectors made by `slots`. `slots` runs on
+    * the calling thread before validation, so a query it rejects throws
+    * inside this call too. */
+  private[repro] def searchSlots(
+      queries: Dataset[MMQuery],
+      index: FusedIndex,
+      store: VectorStore,
+      w: Array[Double],
+      cfg: SearchConfig,
+  )(slots: MMQuery => Array[Array[Double]]): Dataset[SearchResult] =
     inProcess(queries, resultEncoder) { q =>
-      val qv = q.vecs.map(_.toArray).toArray
+      val qv = slots(q)
       validateQuery(qv, q.qid, w, store)
       (q, qv)
     } { case (q, qv) =>
@@ -167,12 +179,13 @@ object JointSearch {
       SearchResult(q.qid, q.gt, ids.map(_.toLong).toSeq, dots, pruned, hops)
     }
 
-  /** The driver-side runner of joint and MR search. Reads the [[rows]] of
-    * `queries` and runs `check` on each on the calling thread, so that a
-    * rejection keeps its own type and message; then runs `score` over a
-    * parallel stream on the common fork-join pool (nproc threads with the
-    * caller) and returns the results in query order as a local Dataset
-    * encoded by `enc`. */
+  /** The driver-side runner of joint, MR and JE search. Reads the [[rows]]
+    * of `queries` (a local Dataset without a job, any other by one job of at
+    * most `defaultParallelism` tasks) and runs `check` on each on the calling
+    * thread, so that a rejection keeps its own type and message; then runs
+    * `score` over a parallel stream on the common fork-join pool (nproc
+    * threads with the caller) and returns the results in query order as a
+    * local Dataset encoded by `enc`. */
   private[repro] def inProcess[A: ClassTag, R: ClassTag](queries: Dataset[MMQuery], enc: Encoder[R])(
       check: MMQuery => A)(score: A => R): Dataset[R] = {
     val checked = rows(queries).map(check)
@@ -183,13 +196,30 @@ object JointSearch {
 
   private lazy val querySchema = Encoders.product[MMQuery].schema
 
-  /** The rows of `queries`, in the order `collect()` returns them. A Dataset
-    * made by `createDataset` over a Seq is a `LocalRelation` of encoded rows,
-    * which are decoded here directly: `collect()` would analyse, optimise and
-    * plan the query and generate a decoder on every call, several times the
-    * kernel's cost for one query. Any other Dataset is collected. */
+  /** The rows of `queries`, in the order `collect()` returns them.
+    *
+    * A Dataset made by `createDataset` over a Seq is a `LocalRelation` of
+    * encoded rows, which are decoded here directly: `collect()` would
+    * analyse, optimise and plan the query and generate a decoder on every
+    * call, several times the kernel's cost for one query.
+    *
+    * Any other Dataset in `MMQuery`'s schema is read by one Spark job of at
+    * most `defaultParallelism` tasks (after the jobs of any shuffle in its
+    * plan, which `collect()` runs too): each partition of its encoded rows
+    * is decoded in its task and tagged with its index, and the partitions
+    * are put back in index order on the driver. `collect()` would run one
+    * task per partition, and Spark's fixed cost per task, not the rows,
+    * dominates such a read (a cached 32-partition Dataset of 2000 queries).
+    * The tags are needed because `coalesce` may group partitions that are
+    * not adjacent. A Dataset in any other schema, such as a DataFrame with
+    * its columns reordered `.as[MMQuery]`, is collected. */
   private[repro] def rows(queries: Dataset[MMQuery]): Array[MMQuery] = queries.queryExecution.logical match {
     case r: LocalRelation if r.schema == querySchema => r.data.iterator.map(decodeQuery).toArray
+    case _ if queries.schema == querySchema =>
+      queries.queryExecution.toRdd
+        .mapPartitionsWithIndex((p, it) => Iterator(p -> it.map(decodeQuery).toArray))
+        .coalesce(queries.sparkSession.sparkContext.defaultParallelism)
+        .collect().sortBy(_._1).flatMap(_._2)
     case _ => queries.collect()
   }
 

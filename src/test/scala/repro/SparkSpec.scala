@@ -1,6 +1,9 @@
 package repro
 
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import java.util.concurrent.{ConcurrentHashMap, ConcurrentLinkedQueue}
+import java.util.concurrent.atomic.AtomicInteger
+import scala.jdk.CollectionConverters._
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerStageSubmitted}
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
@@ -19,19 +22,35 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
 
   override def afterAll(): Unit = { super.afterAll() }
 
-  /** `f`'s value, the Spark jobs it started and the broadcasts it created.
-    * Jobs are the `onJobStart` events between two marker jobs: a listener
-    * gets its events in order, so once the second marker is seen every job
-    * of `f` has been. Broadcasts are the id gap between two probe
-    * broadcasts, made inside the markers. */
+  /** `f`'s value, the Spark jobs it started and the broadcasts it created. */
   def sparkWork[A](f: => A): (A, Int, Long) = {
+    val (a, jobTasks, broadcasts) = sparkJobs(f)
+    (a, jobTasks.length, broadcasts)
+  }
+
+  /** `f`'s value, the tasks each Spark job it started ran (in start order)
+    * and the broadcasts it created. Jobs are the `onJobStart` events between
+    * two marker jobs: a listener gets its events in order, so once the second
+    * marker is seen every job of `f` has been. A job's tasks are those of the
+    * stages it submitted; a stage whose output is already there, such as
+    * the shuffle under a cached Dataset, is skipped and not counted.
+    * Broadcasts are the id gap between two probe broadcasts, made inside the
+    * markers. */
+  def sparkJobs[A](f: => A): (A, Seq[Int], Long) = {
     val sc = spark.sparkContext
-    val markers = new java.util.concurrent.atomic.AtomicInteger
-    val jobs = new java.util.concurrent.atomic.AtomicInteger
+    val markers = new AtomicInteger
+    val jobTasks = new ConcurrentLinkedQueue[AtomicInteger]
+    val stageJob = new ConcurrentHashMap[Int, AtomicInteger]
     val listener = new SparkListener {
       override def onJobStart(e: SparkListenerJobStart): Unit =
         if (Option(e.properties).exists(_.getProperty("spark.jobGroup.id") == "sparkWork.marker")) markers.incrementAndGet()
-        else if (markers.get == 1) jobs.incrementAndGet()
+        else if (markers.get == 1) {
+          val tasks = new AtomicInteger
+          jobTasks.add(tasks)
+          e.stageIds.foreach(stageJob.put(_, tasks))
+        }
+      override def onStageSubmitted(e: SparkListenerStageSubmitted): Unit =
+        Option(stageJob.get(e.stageInfo.stageId)).foreach(_.addAndGet(e.stageInfo.numTasks))
     }
     def marker(): Unit = {
       sc.setJobGroup("sparkWork.marker", "marker")
@@ -48,7 +67,7 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
       val deadline = System.nanoTime() + 30e9.toLong
       while (markers.get < 2 && System.nanoTime() < deadline) Thread.sleep(5)
       assert(markers.get == 2, "the listener did not see the second marker job")
-      (a, jobs.get, b1.id - b0.id - 1)
+      (a, jobTasks.asScala.toList.map(_.get), b1.id - b0.id - 1)
     } finally sc.removeSparkListener(listener)
   }
 }

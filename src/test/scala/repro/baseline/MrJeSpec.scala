@@ -82,13 +82,14 @@ class MrJeSpec extends AnyFunSuite with SparkSpec {
 
   test("MR search returns each query's mergeKernel output in query order, as a local Dataset") {
     val repartitioned = queries.repartition(7).cache()
-    try for (qs <- Seq(localQueries, repartitioned)) {
+    val many = queries.repartition(4 * spark.sparkContext.defaultParallelism + 3).cache()
+    try for (qs <- Seq(localQueries, repartitioned, many)) {
       val expected = qs.collect().toSeq.map(MultiStreamRetrieval.mergeKernel(_, oneHot.toArray, store, 10, 40))
       val found = MultiStreamRetrieval.search(qs, oneHot, store, k = 10, l = 40)
       val (res, jobs, _) = sparkWork(found.collect())
       assert(res.toSeq == expected)
       assert(jobs == 0, s"collecting the results started $jobs Spark jobs")
-    } finally repartitioned.unpersist()
+    } finally { repartitioned.unpersist(); many.unpersist() }
   }
 
   test("MR search over an empty query Dataset returns an empty local result") {
@@ -127,10 +128,34 @@ class MrJeSpec extends AnyFunSuite with SparkSpec {
 
   test("JE fails fast when the encoder has no composition head") {
     val noComp = MultiModalSynth.queries(spark, ds, enc.copy(compNoise = Double.NaN))
-    intercept[Exception] {
+    val first = noComp.head().qid
+    val e = intercept[IllegalArgumentException] {
       JointEmbeddingSearch.search(noComp, oneHot.head, store, ds.m,
         SearchConfig(k = 5, l = 20)).collect()
     }
+    assert(e.getMessage.contains(s"query $first "), e.getMessage)
+  }
+
+  test("JE search rejects a query with an empty or null composition vector, naming its qid") {
+    for (comp <- Seq(Seq.empty[Double], null)) {
+      val qs = spark.createDataset(Seq(queries.head(), queries.head().copy(qid = 1007L, comp = comp)))(queries.encoder)
+      val e = intercept[IllegalArgumentException](
+        JointEmbeddingSearch.search(qs, oneHot.head, store, ds.m, SearchConfig(k = 5, l = 20)))
+      assert(e.getMessage.contains("query 1007"), e.getMessage)
+    }
+  }
+
+  test("JE search over a local query Dataset starts no Spark job and creates no broadcast") {
+    val (qs, idx, st) = (localQueries, oneHot.head, store) // made before counting: each runs jobs
+    val cfg = SearchConfig(k = 10, l = 40)
+    val (res, jobs, broadcasts) = sparkWork(JointEmbeddingSearch.search(qs, idx, st, ds.m, cfg).collect())
+    assert(jobs == 0, s"$jobs Spark jobs")
+    assert(broadcasts == 0, s"$broadcasts broadcasts")
+    // The same as joint search of each composition vector in slot 0, the other slots empty.
+    val rewritten = spark.createDataset(qs.collect().toSeq.map(q =>
+      q.copy(vecs = q.comp +: Seq.fill(ds.m - 1)(Seq.empty[Double]))))(queries.encoder)
+    assert(res.toSeq == repro.graph.JointSearch.search(rewritten, idx, st, MultiStreamRetrieval.oneHot(ds.m, 0), cfg)
+      .collect().toSeq)
   }
 
   test("MR recall is capped by its weakest modality; fused search beats it here") {

@@ -146,12 +146,43 @@ class JointSearchSpec extends AnyFunSuite with SparkSpec with PropSupport {
     } finally repartitioned.unpersist()
   }
 
-  test("the rows of a local query Dataset are read as collect() returns them") {
+  /** The queries, then odd rows that `rows` must keep as `collect()` does:
+    * an empty slot, a null `comp`, a null slot and null `vecs`. */
+  private lazy val oddQueries = {
     val q = queries.head()
-    val odd = Seq(q.copy(qid = 1L, vecs = Seq(q.vecs(0), Seq.empty)), q.copy(qid = 2L, comp = null),
-      q.copy(qid = 3L, vecs = Seq(q.vecs(0), null)), q.copy(qid = 4L, vecs = null))
-    val qs = spark.createDataset(queries.collect().toSeq ++ odd)(queries.encoder)
-    assert(JointSearch.rows(qs).toSeq == qs.collect().toSeq)
+    spark.createDataset(queries.collect().toSeq ++ Seq(q.copy(qid = 1L, vecs = Seq(q.vecs(0), Seq.empty)),
+      q.copy(qid = 2L, comp = null), q.copy(qid = 3L, vecs = Seq(q.vecs(0), null)),
+      q.copy(qid = 4L, vecs = null)))(queries.encoder)
+  }
+
+  test("the rows of a local query Dataset are read as collect() returns them") {
+    assert(JointSearch.rows(oddQueries).toSeq == oddQueries.collect().toSeq)
+  }
+
+  test("the rows of a cached, shuffled, generated or reordered query Dataset are read as collect() returns them") {
+    val parts = 4 * spark.sparkContext.defaultParallelism + 3
+    val cached = oddQueries.repartition(parts).cache()
+    val shuffled = oddQueries.repartition(parts)
+    val generated = MultiModalSynth.queries(spark, ds, enc)
+    // Columns out of MMQuery's order: read by the collect() fallback.
+    val reordered = oddQueries.toDF().select("comp", "vecs", "gt", "qid").as[MMQuery](queries.encoder)
+    assert(reordered.schema != oddQueries.schema)
+    try for ((name, qs) <- Seq("cached" -> cached, "shuffled" -> shuffled, "generated" -> generated,
+        "reordered" -> reordered)) {
+      val expected = qs.collect().toSeq
+      assert(expected.nonEmpty && JointSearch.rows(qs).toSeq == expected, name)
+    } finally cached.unpersist()
+  }
+
+  test("reading a cached query Dataset of many partitions runs one job of at most defaultParallelism tasks") {
+    val dp = spark.sparkContext.defaultParallelism
+    val cached = oddQueries.repartition(4 * dp + 3).cache()
+    try {
+      assert(cached.count() == ds.nQueries + 4)
+      val (read, jobTasks, _) = sparkJobs(JointSearch.rows(cached))
+      assert(jobTasks.length == 1 && jobTasks.head <= dp, s"jobs of ${jobTasks.mkString(", ")} tasks, $dp cores")
+      assert(read.toSeq == cached.collect().toSeq)
+    } finally cached.unpersist()
   }
 
   test("search over a local query Dataset runs no query before it returns") {
