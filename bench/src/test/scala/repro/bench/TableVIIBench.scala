@@ -7,10 +7,11 @@ import repro.eval.TableRunners
   *
   * Paper (seconds, n = 1M..16M): MUST-- 15.4 / 32.8 / 67.5 / 129.9 / 266.9,
   * MUST 2.7 / 2.7 / 3.4 / 3.4 / 4.4 (98.4% reduction at 16M). Our scale
-  * analogs are 3k..48k. MUST's wall time is driver-side search on nproc
-  * threads, brute force's a Spark scan with fixed job overhead, so the
-  * decisive linear-vs-flat evidence is the per-query dot-product count,
-  * printed alongside wall time.
+  * analogs are 3k..48k. Both wall times are driver-side on nproc threads
+  * over the same in-memory store (MUST's search, brute force's exact
+  * scan), a like-for-like comparison; the machine-independent
+  * linear-vs-flat evidence is the per-query dot-product count, printed
+  * alongside wall time.
   */
 class TableVIIBench extends BenchSpec {
 

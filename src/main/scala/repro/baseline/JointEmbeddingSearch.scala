@@ -18,9 +18,9 @@ object JointEmbeddingSearch {
     * on the driver, as [[JointSearch.search]] runs: each query's `comp` goes
     * to slot 0 and its other `m - 1` slots are empty. Eager, so a query with
     * a missing, empty or `null` composition vector throws
-    * `IllegalArgumentException` naming its qid here; no broadcast, no Spark
-    * job for a local query Dataset and one of at most `defaultParallelism`
-    * tasks to read any other; results in query order, as a local Dataset. */
+    * `IllegalArgumentException` naming its qid here; no Spark job for a
+    * local query Dataset and one of at most `defaultParallelism` tasks to
+    * read any other; results in query order, as a local Dataset. */
   def search(
       queries: Dataset[MMQuery],
       targetIndex: FusedIndex,

@@ -69,9 +69,9 @@ object MultiStreamRetrieval {
   /** MR search of every query in `queries` by [[mergeKernel]], on the
     * driver, as [[JointSearch.search]] runs: eager, so a query that
     * [[mergeKernel]] would reject throws `IllegalArgumentException` naming
-    * its qid here; no broadcast, no Spark job for a local query Dataset
-    * and one of at most `defaultParallelism` tasks to read any other; results
-    * in query order, as a local Dataset. */
+    * its qid here; no Spark job for a local query Dataset and one of at
+    * most `defaultParallelism` tasks to read any other; results in query
+    * order, as a local Dataset. */
   def search(
       queries: Dataset[MMQuery],
       indexes: Seq[FusedIndex],

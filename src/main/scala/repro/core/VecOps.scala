@@ -4,7 +4,7 @@ package repro.core
   *
   * All similarity math in the paper is inner product over L2-normalized
   * vectors (§III, Eq. 2). Vectors are plain `Array[Double]` — they live
-  * inside DataFrame rows as `ARRAY<DOUBLE>` and inside mapPartitions
+  * inside DataFrame rows as `ARRAY<DOUBLE>` and inside the driver-side
   * kernels as primitive arrays, so no Breeze/MLlib dependency is needed.
   *
   * Also hosts the deterministic counter-based RNG (SplitMix64 + Box-Muller)

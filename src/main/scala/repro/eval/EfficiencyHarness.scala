@@ -11,13 +11,12 @@ import repro.mmdata.Datasets
   *
   * Ground truth here is the *exact* joint-similarity top-k (Recall@k(k)),
   * obtained from the brute-force scan — the same scan that plays the role
-  * of MUST--. MUST's wall-clock is driver-side search on nproc threads
-  * ([[JointSearch.search]] runs in process), while the brute-force scan is
-  * a Spark job with its scheduling overhead, which the paper's single-node
-  * C++ kernels do not have. So each row also reports the algorithmic cost
-  * driver: the number of modality-level dot products (per query), whose
-  * growth (linear for brute force, ~flat for the graph) is the claim
-  * Table VII makes.
+  * of MUST--. Both wall-clocks are driver-side, on nproc threads over the
+  * same in-memory store, as the paper's single-node C++ kernels run: MUST
+  * is [[JointSearch.search]], the brute force [[BruteForceSearch.topK]].
+  * Each row also reports the algorithmic cost driver: the number of
+  * modality-level dot products (per query), whose growth (linear for brute
+  * force, ~flat for the graph) is the claim Table VII makes.
   */
 object EfficiencyHarness {
 
@@ -54,7 +53,7 @@ object EfficiencyHarness {
       val w = p.learn(enc, Nil, 200, WeightLearning.WLConfig())
       val (index, buildMs) = Metrics.timed(p.index(w))
       val queries = p.queries(enc).collect()
-      val (exact, bruteMs) = Metrics.timed(BruteForceSearch.topK(queries, p.objects, w, k))
+      val (exact, bruteMs) = Metrics.timed(BruteForceSearch.topK(queries, p.store, w, k))
       Prepared(ds, p.store, index, w, buildMs, queries, exact, bruteMs)
     }
   }

@@ -148,9 +148,9 @@ object TableRunners {
       PreparedDataset.using(spark, ds) { p =>
         val w = p.learn(enc, Nil, 150, accuracyCfg.wl)
         val gamma = accuracyCfg.idx.gamma
-        val exact = GraphQuality.exactNeighbors(spark, p.store, w, gamma)
+        val exact = GraphQuality.exactNeighbors(p.store, w, gamma)
         Seq(1, 2, 3).map { eps =>
-          val adj = FusedIndexBuilder.nnDescentGraph(spark, p.store, w, gamma, eps)
+          val adj = FusedIndexBuilder.nnDescentGraph(p.store, w, gamma, eps)
           GraphQualityRow(label, eps, GraphQuality.quality(adj, exact, gamma))
         }
       }

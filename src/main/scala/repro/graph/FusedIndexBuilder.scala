@@ -1,7 +1,6 @@
 package repro.graph
 
 import scala.collection.mutable
-import scala.reflect.ClassTag
 
 import org.apache.spark.sql.SparkSession
 import repro.core.{JointSimilarity, VecOps}
@@ -23,12 +22,15 @@ final case class FusedIndex(
 }
 
 /** Component-based index construction pipeline (Algorithm 1, components
-  * ①–⑤) over the in-memory [[VectorStore]]:
+  * ①–⑤) over the in-memory [[VectorStore]], run on the driver's cores as
+  * the paper's single-node build is: each per-vertex pass is a
+  * [[VectorStore.parallelMap]] over vertex ids, with no Spark job.
   *
   *  - ① Initialization: random γ-NN lists refined by ε rounds of
-  *    NNDescent. Each round is one Spark job, a map over vertex ids that
-  *    reads the broadcast store and a broadcast of the current adjacency:
-  *    every vertex v keeps the best γ of N(v) ∪ N(N(v)) \ {v} by joint IP.
+  *    NNDescent. Each round is one pass that reads the previous round's
+  *    adjacency and writes a new one (no in-place update, so the graph does
+  *    not depend on thread timing): every vertex v keeps the best γ of
+  *    N(v) ∪ N(N(v)) \ {v} by joint IP.
   *    (The paper's one-at-a-time replacement loop and this batch top-γ
   *    update reach the same fixpoint; batching needs no shared state.)
   *  - ② Candidate acquisition: one more neighbors-of-neighbors expansion,
@@ -38,7 +40,7 @@ final case class FusedIndex(
   *    top-γ graph used in the §VIII-G pipeline ablation.
   *  - ④ Seed preprocessing: seed = argmax joint IP to the centroid of the
   *    concatenated vectors.
-  *  - ⑤ Connectivity: BFS from the seed over the collected adjacency;
+  *  - ⑤ Connectivity: BFS from the seed over the adjacency;
   *    unreached vertices get a bridge edge from their nearest visited
   *    vertex.
   */
@@ -52,25 +54,18 @@ object FusedIndexBuilder {
     * (random init at ε = 0). This is the graph whose quality App. H /
     * Table XI measures against the exact top-γ lists. */
   def nnDescentGraph(
-      spark: SparkSession,
       store: VectorStore,
       weights: Array[Double],
       gamma: Int,
       epsilon: Int,
       seed: Long = 1234L,
   ): Array[Array[Int]] = {
-    val sc = spark.sparkContext
     var nbrs = initRandom(store.n, math.min(gamma, store.n - 1), seed)
-    val bStore = sc.broadcast(store)
-    val bw = sc.broadcast(weights)
-    try {
-      for (_ <- 0 until epsilon) {
-        val bNbrs = sc.broadcast(nbrs)
-        try nbrs = eachVertex(spark, store.n)(v => candidates(bStore.value, bw.value, bNbrs.value, v, gamma)._1)
-        finally bNbrs.destroy()
-      }
-      nbrs
-    } finally { bStore.destroy(); bw.destroy() }
+    for (_ <- 0 until epsilon) {
+      val prev = nbrs
+      nbrs = VectorStore.parallelMap(store.n)(v => candidates(store, weights, prev, v, gamma)._1)
+    }
+    nbrs
   }
 
   private def initRandom(n: Int, gamma: Int, seed: Long): Array[Array[Int]] =
@@ -85,6 +80,10 @@ object FusedIndexBuilder {
       picked.toArray
     }
 
+  /** The fused index of `store` under `weights`. `spark` is not used: the
+    * build runs on the driver's cores. The parameter stays so that callers
+    * compiled against this signature, such as the `mstmbench` driver, keep
+    * compiling. */
   def build(
       spark: SparkSession,
       store: VectorStore,
@@ -101,19 +100,13 @@ object FusedIndexBuilder {
     val gamma = math.min(cfg.gamma, n - 1)
 
     // ① random initialization + ε NNDescent rounds
-    val knn = nnDescentGraph(spark, store, weights, gamma, cfg.epsilon, seed)
+    val knn = nnDescentGraph(store, weights, gamma, cfg.epsilon, seed)
 
     // ② candidate acquisition + ③ neighbor selection, one pass per vertex
-    val sc = spark.sparkContext
-    val useMrng = cfg.useMrngSelection
-    val bStore = sc.broadcast(store)
-    val bw = sc.broadcast(weights)
-    val bKnn = sc.broadcast(knn)
-    val adjacency =
-      try eachVertex(spark, n) { v =>
-        val (us, ips) = candidates(bStore.value, bw.value, bKnn.value, v, candCap(gamma))
-        if (useMrng) mrngSelect(v, us, ips, gamma, bStore.value, bw.value) else us.take(gamma)
-      } finally { bStore.destroy(); bw.destroy(); bKnn.destroy() }
+    val adjacency = VectorStore.parallelMap(n) { v =>
+      val (us, ips) = candidates(store, weights, knn, v, candCap(gamma))
+      if (cfg.useMrngSelection) mrngSelect(v, us, ips, gamma, store, weights) else us.take(gamma)
+    }
 
     // ④ seed = vertex nearest to the centroid of concatenated vectors.
     // (Per-modality mean ⇔ concatenated-vector mean, by linearity.)
@@ -139,13 +132,6 @@ object FusedIndexBuilder {
         (a, b) => JointSimilarity.jointIP(weights, store.vecs(a), store.vecs(b)))
 
     FusedIndex(adjacency, seedVertex, weights.clone())
-  }
-
-  /** `f(v)` for every vertex v in [0, n), as one Spark job; element v of
-    * the result is `f(v)`. `f` reads what it needs from broadcasts. */
-  private[graph] def eachVertex[A: ClassTag](spark: SparkSession, n: Int)(f: Int => A): Array[A] = {
-    val sc = spark.sparkContext
-    sc.parallelize(0 until n, sc.defaultParallelism).map(f).collect()
   }
 
   /** Neighbors-of-neighbors expansion of one vertex: N(v) ∪ N(N(v)) \ {v},

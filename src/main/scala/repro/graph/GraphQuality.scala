@@ -1,43 +1,17 @@
 package repro.graph
 
-import org.apache.spark.sql.SparkSession
-import repro.core.JointSimilarity
-
 /** Graph quality metric (paper App. H, Table XI): the mean ratio of a
   * vertex's γ neighbors that appear among its exact top-γ nearest
-  * neighbors by joint similarity. Exact neighbor lists are computed as a
-  * distributed all-pairs scan (one Spark job over vertex ids, each vertex
-  * scanned against the broadcast store).
+  * neighbors by joint similarity. Exact neighbor lists come from an
+  * all-pairs scan on the driver's cores: each vertex scanned against the
+  * whole store by [[VectorStore.topK]].
   */
 object GraphQuality {
 
-  /** Exact top-γ joint-IP neighbor lists for every vertex. */
-  def exactNeighbors(
-      spark: SparkSession,
-      store: VectorStore,
-      w: Array[Double],
-      gamma: Int,
-  ): Array[Array[Int]] = {
-    val bStore = spark.sparkContext.broadcast(store)
-    val bw = spark.sparkContext.broadcast(w)
-    try FusedIndexBuilder.eachVertex(spark, store.n) { o =>
-      val st = bStore.value; val ww = bw.value
-      // min-heap on ip: head = current worst of the kept γ
-      val minFirst: Ordering[(Double, Int)] =
-        Ordering.Tuple2(Ordering[Double], Ordering[Int]).reverse
-      val pq = scala.collection.mutable.PriorityQueue.empty[(Double, Int)](minFirst)
-      var v = 0
-      while (v < st.n) {
-        if (v != o) {
-          val ip = JointSimilarity.jointIP(ww, st.vecs(o), st.vecs(v))
-          if (pq.size < gamma) pq.enqueue((ip, v))
-          else if (ip > pq.head._1) { pq.dequeue(); pq.enqueue((ip, v)) }
-        }
-        v += 1
-      }
-      pq.dequeueAll.iterator.map((p: (Double, Int)) => p._2).toArray
-    } finally { bStore.destroy(); bw.destroy() }
-  }
+  /** Exact top-γ joint-IP neighbor lists for every vertex, best first (by
+    * joint IP descending, then by id). */
+  def exactNeighbors(store: VectorStore, w: Array[Double], gamma: Int): Array[Array[Int]] =
+    VectorStore.parallelMap(store.n)(o => store.topK(store.vecs(o), w, gamma, skip = o)._1)
 
   /** Mean overlap of `adjacency`'s first γ entries with the exact top-γ. */
   def quality(adjacency: Array[Array[Int]], exact: Array[Array[Int]], gamma: Int): Double = {

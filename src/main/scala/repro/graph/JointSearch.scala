@@ -1,6 +1,5 @@
 package repro.graph
 
-import java.util.stream.IntStream
 import scala.reflect.ClassTag
 import org.apache.spark.sql.{Dataset, Encoder, Encoders}
 import org.apache.spark.sql.catalyst.InternalRow
@@ -148,7 +147,7 @@ object JointSearch {
     * its qid here, not at a later action. A local query Dataset
     * (`createDataset` over a Seq) is read without a Spark job or a query
     * plan; any other Dataset in `MMQuery`'s schema by one Spark job of at
-    * most `defaultParallelism` tasks (see [[rows]]). No broadcast is made.
+    * most `defaultParallelism` tasks (see [[rows]]).
     * The results are in the order `queries.collect()` returns, as a local
     * Dataset whose actions start no job either.
     */
@@ -183,14 +182,12 @@ object JointSearch {
     * of `queries` (a local Dataset without a job, any other by one job of at
     * most `defaultParallelism` tasks) and runs `check` on each on the calling
     * thread, so that a rejection keeps its own type and message; then runs
-    * `score` over a parallel stream on the common fork-join pool (nproc
-    * threads with the caller) and returns the results in query order as a
-    * local Dataset encoded by `enc`. */
+    * `score` on the driver's cores ([[VectorStore.parallelMap]]) and returns
+    * the results in query order as a local Dataset encoded by `enc`. */
   private[repro] def inProcess[A: ClassTag, R: ClassTag](queries: Dataset[MMQuery], enc: Encoder[R])(
       check: MMQuery => A)(score: A => R): Dataset[R] = {
     val checked = rows(queries).map(check)
-    val out = new Array[R](checked.length)
-    IntStream.range(0, checked.length).parallel().forEach(i => out(i) = score(checked(i)))
+    val out = VectorStore.parallelMap(checked.length)(i => score(checked(i)))
     queries.sparkSession.createDataset(out.toSeq)(enc)
   }
 

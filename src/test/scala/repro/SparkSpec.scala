@@ -12,10 +12,10 @@ import org.scalatest.funsuite.AnyFunSuite
   *
   * The master is `SPARK_MASTER` (default `local[*]`); the driver heap is
   * set via ``Test / javaOptions`` in build.sbt from SPARK_DRIVER_MEM.
-  * The program runs no SQL joins or shuffles (the index build maps vertex
-  * ids against broadcast arrays, and search runs on the driver), so the
-  * shuffle-partition and broadcast-join settings below do not shape any
-  * measured path.
+  * The program runs no SQL joins or shuffles (the index build, the exact
+  * scans and search all run on the driver's cores over the collected
+  * store), so the shuffle-partition and broadcast-join settings below do
+  * not shape any measured path.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared

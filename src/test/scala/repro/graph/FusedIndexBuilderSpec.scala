@@ -87,7 +87,7 @@ class FusedIndexBuilderSpec extends AnyFunSuite with SparkSpec with PropSupport 
   }
 
   test("graph quality improves with NNDescent iterations (Table XI shape)") {
-    val exact = GraphQuality.exactNeighbors(spark, store, w, gamma = 8)
+    val exact = GraphQuality.exactNeighbors(store, w, gamma = 8)
     def qualityAt(eps: Int): Double = {
       val idx = FusedIndexBuilder.build(spark, store, w,
         IndexConfig(gamma = 8, epsilon = eps, useMrngSelection = false, ensureConnectivity = false))
@@ -150,8 +150,22 @@ class FusedIndexBuilderSpec extends AnyFunSuite with SparkSpec with PropSupport 
   test("without MRNG and bridges, build is one more NNDescent round") {
     val kg = FusedIndexBuilder.build(spark, store, w,
       IndexConfig(gamma = 8, epsilon = 2, useMrngSelection = false, ensureConnectivity = false))
-    val nn = FusedIndexBuilder.nnDescentGraph(spark, store, w, gamma = 8, epsilon = 3)
+    val nn = FusedIndexBuilder.nnDescentGraph(store, w, gamma = 8, epsilon = 3)
     assert(kg.adjacency.map(_.toSeq).toSeq == nn.map(_.toSeq).toSeq)
+  }
+
+  test("build, nnDescentGraph and exactNeighbors run on the driver: no Spark job, no broadcast") {
+    store // collected before counting
+    def work(what: String, f: => Any): (String, Int, Long) = {
+      val (_, jobs, broadcasts) = sparkWork(f)
+      (what, jobs, broadcasts)
+    }
+    val counts = Seq(
+      work("build", FusedIndexBuilder.build(spark, store, w, IndexConfig(gamma = 8, epsilon = 2))),
+      work("nnDescentGraph", FusedIndexBuilder.nnDescentGraph(store, w, gamma = 8, epsilon = 2)),
+      work("exactNeighbors", GraphQuality.exactNeighbors(store, w, gamma = 8)))
+    assert(counts.forall { case (_, jobs, broadcasts) => jobs == 0 && broadcasts == 0 },
+      counts.map { case (what, jobs, broadcasts) => s"$what: $jobs jobs, $broadcasts broadcasts" }.mkString("; "))
   }
 
   test("connectivity repair bridges 20 000 isolated vertices") {

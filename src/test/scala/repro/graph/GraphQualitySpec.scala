@@ -1,19 +1,20 @@
 package repro.graph
 
+import org.scalacheck.Gen
 import org.scalatest.funsuite.AnyFunSuite
-import repro.SparkSpec
+import repro.{PropSupport, SparkSpec}
 import repro.core.{JointSimilarity, VecOps}
 import repro.core.Types._
 import repro.mmdata.MultiModalSynth
 
-class GraphQualitySpec extends AnyFunSuite with SparkSpec {
+class GraphQualitySpec extends AnyFunSuite with SparkSpec with PropSupport {
 
   private val ds = DatasetConfig("gq", n = 200, nQueries = 10, m = 2, dim = 12,
     dLat = 8, nClusters = 10, tau = 0.35, seed = 91L)
   private val w = Array(0.5, 0.5)
 
   private lazy val store = VectorStore.collect(MultiModalSynth.objects(spark, ds))
-  private lazy val exact = GraphQuality.exactNeighbors(spark, store, w, gamma = 6)
+  private lazy val exact = GraphQuality.exactNeighbors(store, w, gamma = 6)
 
   test("exactNeighbors returns gamma neighbors per vertex, no self") {
     assert(exact.length == ds.n)
@@ -31,6 +32,28 @@ class GraphQualitySpec extends AnyFunSuite with SparkSpec {
         .sortBy { case (ip, v) => (-ip, v) }
         .take(6).map(_._2).toSet
       assert(exact(o).toSet == naive, s"vertex $o")
+    }
+  }
+
+  test("exactNeighbors lists are the naive top-γ in (-ip, id) order, ties included") {
+    // Small integer coordinates and weights make exact ties common.
+    val smallCase = for {
+      n <- Gen.choose(2, 24)
+      m <- Gen.choose(1, 3)
+      dim <- Gen.choose(1, 4)
+      vecs <- Gen.listOfN(n, Gen.listOfN(m, Gen.listOfN(dim, Gen.choose(-2, 2).map(_.toDouble))))
+      w <- Gen.listOfN(m, Gen.oneOf(0.0, 0.5, 1.0))
+      gamma <- Gen.choose(1, 30)
+    } yield (new VectorStore(vecs.map(_.map(_.toArray).toArray).toArray), w.toArray, gamma)
+    forAllGen(smallCase) { case (st, w, gamma) =>
+      val got = GraphQuality.exactNeighbors(st, w, gamma)
+      (0 until st.n).foreach { o =>
+        val naive = (0 until st.n).filter(_ != o)
+          .map(v => (JointSimilarity.jointIP(w, st.vecs(o), st.vecs(v)), v))
+          .sortBy { case (ip, v) => (-ip, v) }
+          .take(gamma).map(_._2)
+        assert(got(o).toSeq == naive, s"vertex $o")
+      }
     }
   }
 

@@ -21,7 +21,7 @@ class JointSearchSpec extends AnyFunSuite with SparkSpec with PropSupport {
   private lazy val store = VectorStore.collect(objects)
   private lazy val index = FusedIndexBuilder.build(spark, store, w, IndexConfig(gamma = 10, epsilon = 3))
   private lazy val queries = MultiModalSynth.queries(spark, ds, enc).cache()
-  private lazy val exact = BruteForceSearch.topK(queries.collect(), objects, w, k = 10)
+  private lazy val exact = BruteForceSearch.topK(queries.collect(), store, w, k = 10)
 
   test("search returns k results, unique valid ids, for every query") {
     val res = JointSearch.search(queries, index, store, w, SearchConfig(k = 10, l = 40)).collect()
