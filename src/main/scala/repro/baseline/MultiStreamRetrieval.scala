@@ -41,8 +41,7 @@ object MultiStreamRetrieval {
 
     val lists: Seq[Array[Int]] = active.map { i =>
       val w = oneHot(m, i)
-      val (ids, _, _, _, _) =
-        JointSearch.searchKernel(qv, q.qid, w, indexes(i), store, SearchConfig(k = l, l = l))
+      val (ids, _, _, _) = JointSearch.route(qv, q.qid, w, indexes(i), store, SearchConfig(k = l, l = l))
       ids
     }
 

@@ -47,29 +47,49 @@ object JointSimilarity {
       threshold: Double,
   ): PartialResult = {
     require(w.length == o.length)
-    // Suffix mass Σ_{i>=x} w_i over *active* modalities bounds the unscanned part.
-    var remaining = 0.0
-    var active = 0
-    var i = 0
-    while (i < o.length) {
-      if (i < q.length && q(i).length > 0 && w(i) != 0.0) { remaining += math.abs(w(i)); active += 1 }
-      i += 1
+    val scan = new PartialScan(w, q)
+    val ip = scan(o, threshold)
+    PartialResult(ip, scan.pruned, scan.scanned)
+  }
+
+  /** [[partialJointIP]] of many objects against one query `q`: the active
+    * modalities (non-empty in `q`, non-zero in `w`) and the bound's suffix
+    * masses are taken once, and a scan returns a bare `Double`, reporting
+    * how it ended in [[pruned]] and [[scanned]]. Search scores every vertex
+    * it visits through one. Not thread-safe. */
+  final class PartialScan(w: Array[Double], q: Array[Array[Double]]) {
+    private val active = (0 until math.min(q.length, w.length)).filter(i => q(i).length > 0 && w(i) != 0.0).toArray
+    // rest(j): Σ|wᵢ| over the active modalities after the j-th, each |wᵢ|
+    // subtracted in turn from the total, so every bound has the same bits.
+    private val rest = {
+      var remaining = 0.0
+      active.foreach(i => remaining += math.abs(w(i)))
+      active.map { i => remaining -= math.abs(w(i)); remaining }
     }
-    var partial = 0.0
+
+    /** The last scan stopped early, with an active modality left unscanned. */
+    var pruned = false
+    /** The active modalities the last scan computed a dot product for. */
     var scanned = 0
-    i = 0
-    while (i < o.length) {
-      if (i < q.length && q(i).length > 0 && w(i) != 0.0) {
+
+    /** `o`'s exact joint IP, or, when [[pruned]], the upper bound at which
+      * the scan fell to/below `threshold`. */
+    def apply(o: Array[Array[Double]], threshold: Double): Double = {
+      var partial = 0.0
+      var j = 0
+      while (j < active.length) {
+        val i = active(j)
         partial += w(i) * VecOps.dot(q(i), o(i))
-        remaining -= math.abs(w(i))
-        scanned += 1
-        // Counted, not read off `remaining`: its floating residue is not exactly 0.
-        if (scanned < active && partial + remaining <= threshold)
-          return PartialResult(partial + remaining, pruned = true, scanned)
+        j += 1
+        // Counted, not read off rest: its floating residue is not exactly 0.
+        if (j < active.length && partial + rest(j - 1) <= threshold) {
+          pruned = true; scanned = j
+          return partial + rest(j - 1)
+        }
       }
-      i += 1
+      pruned = false; scanned = j
+      partial
     }
-    PartialResult(partial, pruned = false, scanned)
   }
 
   /** Similarity measurement error (Eq. 4): 1 − IP(φ₀(a⁰), φ₀(r⁰)). */

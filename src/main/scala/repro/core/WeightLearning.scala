@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.Dataset
 import repro.core.Types._
+import repro.graph.JointSearch
 
 /** Vector weight learning (paper §VI).
   *
@@ -13,9 +14,11 @@ import repro.core.Types._
   * current weights (Eq. 5).
   *
   * Execution: the anchors and T are collected once (both are as small as
-  * the training set), and each anchor's per-modality IPs against T are
-  * computed once — they do not depend on w. The epochs then run on the
-  * driver over that anchors × |T| × m tensor: each epoch sums the
+  * the training set; the anchors through [[JointSearch.rows]], so a local
+  * Dataset needs no query plan), and each anchor's per-modality IPs against
+  * T are computed once — they do not depend on w. The epochs then run on
+  * the driver over that anchors × |T| × m tensor, in primitive loops over
+  * one reused array of joint IPs: each epoch sums the
   * per-anchor gradients in anchor order and takes one full-batch
   * gradient-descent step (the paper's minibatch SGD with 700 iterations ≈
   * our full-batch GD with ~80 epochs at the same loss).
@@ -69,44 +72,89 @@ object WeightLearning {
       w: Array[Double],
       anchor: AnchorIps,
       cfg: WLConfig,
+  ): (Array[Double], Double, Double) = anchorGrad(w, anchor, cfg, new Array[Double](anchor.ips.length))
+
+  /** [[anchorGrad]] with `joint`, scratch of at least |T| entries that the
+    * caller reuses across anchors, for the anchor's joint IPs. */
+  private[core] def anchorGrad(
+      w: Array[Double],
+      anchor: AnchorIps,
+      cfg: WLConfig,
+      joint: Array[Double],
   ): (Array[Double], Double, Double) = {
     val m = w.length
     val ips = anchor.ips
+    val nT = ips.length
     val posIdx = anchor.pos
-    val joint = ips.map(ip => { var s = 0.0; var i = 0; while (i < m) { s += w(i) * ip(i); i += 1 }; s })
+    var t = 0
+    while (t < nT) {
+      val ip = ips(t)
+      var s = 0.0; var i = 0; while (i < m) { s += w(i) * ip(i); i += 1 }
+      joint(t) = s
+      t += 1
+    }
 
     // Eq. 5: R = top-k of T under current weights (k = |N⁻| + 1 so that
     // N⁻ = R \ {p⁺} has |N⁻| elements when the positive is in R).
-    val nNeg = math.min(cfg.negatives, ips.length - 1)
+    val nNeg = math.min(cfg.negatives, nT - 1)
     val negIdxs: Array[Int] =
-      if (cfg.hardNegatives) {
-        val order = joint.zipWithIndex.sortBy(-_._1).map(_._2)
-        order.take(nNeg + 1).filter(_ != posIdx).take(nNeg)
-      } else {
+      if (cfg.hardNegatives) topIndexes(joint, nT, nNeg + 1).filter(_ != posIdx).take(nNeg)
+      else {
         val rng = new scala.util.Random(VecOps.mix64(cfg.seed ^ anchor.qid))
-        Iterator.continually(rng.nextInt(ips.length))
+        Iterator.continually(rng.nextInt(nT))
           .filter(_ != posIdx).distinct.take(nNeg).toArray
       }
 
-    val top1 = if (joint.zipWithIndex.maxBy(_._1)._2 == posIdx) 1.0 else 0.0
+    // The first index of the highest joint IP, by Double.compare.
+    var best = 0
+    t = 1
+    while (t < nT) { if (java.lang.Double.compare(joint(t), joint(best)) > 0) best = t; t += 1 }
+    val top1 = if (best == posIdx) 1.0 else 0.0
 
     // Softmax over {positive} ∪ negatives (stable via max-shift).
-    val idxs = posIdx +: negIdxs
-    val ss = idxs.map(joint)
-    val mx = ss.max
-    val es = ss.map(s => math.exp(s - mx))
-    val z = es.sum
+    val nIdx = negIdxs.length + 1
+    val idxs = new Array[Int](nIdx)
+    idxs(0) = posIdx
+    System.arraycopy(negIdxs, 0, idxs, 1, negIdxs.length)
+    var mx = joint(posIdx)
+    var j = 1
+    while (j < nIdx) { if (java.lang.Double.compare(joint(idxs(j)), mx) > 0) mx = joint(idxs(j)); j += 1 }
+    val es = new Array[Double](nIdx)
+    var z = 0.0
+    j = 0
+    while (j < nIdx) { es(j) = math.exp(joint(idxs(j)) - mx); z += es(j); j += 1 }
     val loss = -math.log(es(0) / z)
     val grad = new Array[Double](m)
     var i = 0
     while (i < m) {
       var g = -ips(posIdx)(i)
-      var j = 0
-      while (j < idxs.length) { g += (es(j) / z) * ips(idxs(j))(i); j += 1 }
+      j = 0
+      while (j < nIdx) { g += (es(j) / z) * ips(idxs(j))(i); j += 1 }
       grad(i) = g
       i += 1
     }
     (grad, loss, top1)
+  }
+
+  /** The indexes of the `k` highest of `joint(0 until n)`, best first: by
+    * `Double.compare` on −joint, then by index, the order a stable sort by
+    * −joint gives. One pass that inserts into a sorted array of k. */
+  private def topIndexes(joint: Array[Double], n: Int, k: Int): Array[Int] = {
+    val kept = new Array[Int](math.max(0, math.min(k, n)))
+    var size = 0
+    var t = 0
+    while (t < n) {
+      val key = -joint(t)
+      // An equal key ranks below every kept entry: indexes arrive ascending.
+      if (size < kept.length || (size > 0 && java.lang.Double.compare(key, -joint(kept(size - 1))) < 0)) {
+        var at = math.min(size, kept.length - 1)
+        while (at > 0 && java.lang.Double.compare(key, -joint(kept(at - 1))) < 0) { kept(at) = kept(at - 1); at -= 1 }
+        kept(at) = t
+        if (size < kept.length) size += 1
+      }
+      t += 1
+    }
+    kept
   }
 
   /** Runs the learning loop; `anchors` is the training-query Dataset and
@@ -120,7 +168,7 @@ object WeightLearning {
       m: Int,
       cfg: WLConfig = WLConfig(),
   ): TrainResult = {
-    val anchorRows = anchors.collect()
+    val anchorRows = JointSearch.rows(anchors)
     val nAnchors = anchorRows.length.toDouble
     require(nAnchors > 0, "no training anchors")
     anchorRows.foreach { a =>
@@ -143,12 +191,13 @@ object WeightLearning {
     val losses = Vector.newBuilder[Double]
     val top1s = Vector.newBuilder[Double]
 
+    val joint = new Array[Double](t.length)
     for (_ <- 0 until cfg.epochs) {
       val gradSum = new Array[Double](m)
       var lossSum = 0.0
       var hitSum = 0.0
       tensor.foreach { a =>
-        val (g, l, h) = anchorGrad(w, a, cfg)
+        val (g, l, h) = anchorGrad(w, a, cfg, joint)
         var i = 0
         while (i < m) { gradSum(i) += g(i); i += 1 }
         lossSum += l

@@ -1,7 +1,5 @@
 package repro.graph
 
-import scala.collection.mutable
-
 import org.apache.spark.sql.SparkSession
 import repro.core.{JointSimilarity, VecOps}
 import repro.core.Types.IndexConfig
@@ -68,17 +66,23 @@ object FusedIndexBuilder {
     nbrs
   }
 
-  private def initRandom(n: Int, gamma: Int, seed: Long): Array[Array[Int]] =
+  /** γ distinct random out-neighbours per vertex, none itself, in draw order. */
+  private def initRandom(n: Int, gamma: Int, seed: Long): Array[Array[Int]] = {
+    val picked = new VisitedTags
     Array.tabulate(n) { id =>
-      val picked = new mutable.LinkedHashSet[Int]
+      picked.reset(n)
+      picked.mark(id)
+      val out = new Array[Int](gamma)
+      var size = 0
       var c = 0L
-      while (picked.size < gamma) {
+      while (size < gamma) {
         val cand = math.floorMod(VecOps.mix64(seed ^ VecOps.mix64(id.toLong * 31 + c)), n.toLong).toInt
-        if (cand != id) picked += cand
+        if (picked.visit(cand)) { out(size) = cand; size += 1 }
         c += 1
       }
-      picked.toArray
+      out
     }
+  }
 
   /** The fused index of `store` under `weights`. `spark` is not used: the
     * build runs on the driver's cores. The parameter stays so that callers
@@ -134,10 +138,14 @@ object FusedIndexBuilder {
     FusedIndex(adjacency, seedVertex, weights.clone())
   }
 
+  /** The scratch marks of [[candidates]], one set per thread. */
+  private val candidateTags = ThreadLocal.withInitial[VisitedTags](() => new VisitedTags)
+
   /** Neighbors-of-neighbors expansion of one vertex: N(v) ∪ N(N(v)) \ {v},
-    * scored by joint IP with v and ordered by (−ip, u), first `keep`.
-    * Shared by the NNDescent rounds (keep = γ) and component ② (keep =
-    * candidate cap). Current neighbors always remain candidates. */
+    * scored by joint IP with v and ordered by (−ip, u) — `Double.compare`
+    * on −ip, then id — first `keep`. Shared by the NNDescent rounds (keep =
+    * γ) and component ② (keep = candidate cap). Current neighbors always
+    * remain candidates. */
   private[graph] def candidates(
       store: VectorStore,
       w: Array[Double],
@@ -145,12 +153,66 @@ object FusedIndexBuilder {
       v: Int,
       keep: Int,
   ): (Array[Int], Array[Double]) = {
-    val all = mutable.ArrayBuilder.make[Int]
-    nbrs(v).foreach { u => all += u; all ++= nbrs(u) }
-    val us = all.result().distinct.filter(_ != v)
+    val tags = candidateTags.get()
+    tags.reset(nbrs.length)
+    tags.mark(v)
+    val nv = nbrs(v)
+    var bound = 0
+    var a = 0
+    while (a < nv.length) { bound += 1 + nbrs(nv(a)).length; a += 1 }
+    val us = new Array[Int](bound)
+    var size = 0
+    a = 0
+    while (a < nv.length) {
+      val u = nv(a)
+      if (tags.visit(u)) { us(size) = u; size += 1 }
+      val nu = nbrs(u)
+      var b = 0
+      while (b < nu.length) { if (tags.visit(nu(b))) { us(size) = nu(b); size += 1 }; b += 1 }
+      a += 1
+    }
     val vv = store.vecs(v)
-    val top = us.map(u => (-JointSimilarity.jointIP(w, vv, store.vecs(u)), u)).sorted.take(keep)
-    (top.map(_._2), top.map(-_._1))
+    val ips = new Array[Double](size)
+    var i = 0
+    while (i < size) { ips(i) = JointSimilarity.jointIP(w, vv, store.vecs(us(i))); i += 1 }
+    sortBest(us, ips, size)
+    val top = math.min(keep, size)
+    (java.util.Arrays.copyOf(us, top), java.util.Arrays.copyOf(ips, top))
+  }
+
+  /** Sorts the first `size` (id, ip) pairs of `ids` and `ips` by
+    * `Double.compare` on −ip, then by id: a bottom-up merge sort over the
+    * two arrays, with no boxing. */
+  private def sortBest(ids: Array[Int], ips: Array[Double], size: Int): Unit = {
+    var srcIds = ids; var srcIps = ips
+    var dstIds = new Array[Int](size); var dstIps = new Array[Double](size)
+    var width = 1
+    while (width < size) {
+      var lo = 0
+      while (lo < size) {
+        val mid = math.min(lo + width, size)
+        val hi = math.min(lo + 2 * width, size)
+        var a = lo; var b = mid; var k = lo
+        while (k < hi) {
+          // The left run's head goes first unless the right run's is strictly better.
+          val takeA = a < mid && (b >= hi || {
+            val c = java.lang.Double.compare(-srcIps(b), -srcIps(a))
+            !(c < 0 || (c == 0 && srcIds(b) < srcIds(a)))
+          })
+          if (takeA) { dstIds(k) = srcIds(a); dstIps(k) = srcIps(a); a += 1 }
+          else { dstIds(k) = srcIds(b); dstIps(k) = srcIps(b); b += 1 }
+          k += 1
+        }
+        lo = hi
+      }
+      val (ti, tp) = (srcIds, srcIps)
+      srcIds = dstIds; srcIps = dstIps; dstIds = ti; dstIps = tp
+      width *= 2
+    }
+    if (srcIds ne ids) {
+      System.arraycopy(srcIds, 0, ids, 0, size)
+      System.arraycopy(srcIps, 0, ips, 0, size)
+    }
   }
 
   /** MRNG selection (Algorithm 1 lines 11–17): walk candidates in
@@ -166,23 +228,23 @@ object FusedIndexBuilder {
       store: VectorStore,
       w: Array[Double],
   ): Array[Int] = {
-    val out = new mutable.ArrayBuffer[Int](gamma)
+    val out = new Array[Int](math.max(0, math.min(gamma, us.length)))
+    var size = 0
     var i = 0
-    while (i < us.length && out.length < gamma) {
+    while (i < us.length && size < gamma) {
       val v = us(i)
       if (v != o) {
         var ok = true
         var j = 0
-        while (ok && j < out.length) {
-          val u = out(j)
-          if (JointSimilarity.jointIP(w, store.vecs(u), store.vecs(v)) > ips(i)) ok = false
+        while (ok && j < size) {
+          if (JointSimilarity.jointIP(w, store.vecs(out(j)), store.vecs(v)) > ips(i)) ok = false
           j += 1
         }
-        if (ok) out += v
+        if (ok) { out(size) = v; size += 1 }
       }
       i += 1
     }
-    out.toArray
+    java.util.Arrays.copyOf(out, size)
   }
 
   /** Component ⑤: BFS from the seed; for every unreached vertex add a

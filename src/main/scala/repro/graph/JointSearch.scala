@@ -42,10 +42,11 @@ object JointSearch {
     *
     * R, the fixed-size (l) result set, is three parallel arrays sorted by
     * joint IP descending, then by id; `cursor` is its first unexpanded entry.
-    * `seen` marks every vertex scored so far, so none is scored twice (the
-    * paper's H-check plus memoization — identical result set, fewer dot
-    * products). Neighbours are scored against R's worst IP with the Lemma-4
-    * partial distance, or exactly when that is off.
+    * Every vertex scored so far is marked in the thread's [[VisitedTags]], so
+    * none is scored twice (the paper's H-check plus memoization — identical
+    * result set, fewer dot products). Neighbours are scored against R's worst
+    * IP with the Lemma-4 partial distance, or exactly when that is off,
+    * through one [[JointSimilarity.PartialScan]] per query.
     *
     * @return (top-k ids, dot products, pruned count, hops, per-iteration
     *         sum of R's IPs — the monotone f(η) of Lemma 3)
@@ -59,18 +60,46 @@ object JointSearch {
       cfg: SearchConfig,
       seed: Long = 99L,
   ): (Array[Int], Long, Long, Long, Array[Double]) = {
+    val fEta = scala.collection.mutable.ArrayBuilder.make[Double]
+    val (ids, dots, pruned, hops) = route(qVecs, qid, w, index, store, cfg, seed, fEta)
+    (ids, dots, pruned, hops, fEta.result())
+  }
+
+  /** The scratch marks of [[route]], one set per thread. */
+  private val scoredTags = ThreadLocal.withInitial[VisitedTags](() => new VisitedTags)
+
+  /** [[searchKernel]]'s routing. It appends R's IP sum to `fEta` after
+    * seeding and after each hop only when `fEta` is given: [[search]] and
+    * MR's merge pass none, since that O(l) sum per hop is a sizeable share
+    * of a warm kernel's time.
+    *
+    * @return (top-k ids, dot products, pruned count, hops)
+    */
+  private[repro] def route(
+      qVecs: Array[Array[Double]],
+      qid: Long,
+      w: Array[Double],
+      index: FusedIndex,
+      store: VectorStore,
+      cfg: SearchConfig,
+      seed: Long = 99L,
+      fEta: scala.collection.mutable.ArrayBuilder[Double] = null,
+  ): (Array[Int], Long, Long, Long) = {
     validateQuery(qVecs, qid, w, store)
     val n = index.n
     val l = math.min(cfg.l, n)
     var dots = 0L; var prunedCnt = 0L; var hops = 0L
     val (ids, ips, expanded) = (new Array[Int](l), new Array[Double](l), new Array[Boolean](l))
     var size = 0; var cursor = 0
-    val seen = new Array[Boolean](n)
-    def score(v: Int, threshold: Double): JointSimilarity.PartialResult = {
-      seen(v) = true
-      val r = JointSimilarity.partialJointIP(w, qVecs, store.vecs(v), threshold)
-      dots += r.modalitiesScanned
-      r
+    val seen = scoredTags.get()
+    seen.reset(n)
+
+    val scan = new JointSimilarity.PartialScan(w, qVecs)
+    def score(v: Int, threshold: Double): Double = {
+      seen.mark(v)
+      val ip = scan(store.vecs(v), threshold)
+      dots += scan.scanned
+      ip
     }
     // Puts (ip, v) after each entry of higher IP (by Double.compare), or equal IP and lower id.
     def insert(ip: Double, v: Int): Unit = {
@@ -87,8 +116,10 @@ object JointSearch {
       size += 1
       if (lo < cursor) cursor = lo
     }
-    def add(v: Int): Unit = if (!seen(v)) insert(score(v, Double.NegativeInfinity).ip, v)
-    def fSum(): Double = { var s = 0.0; var i = 0; while (i < size) { s += ips(i); i += 1 }; s }
+    def add(v: Int): Unit = if (!seen.isMarked(v)) insert(score(v, Double.NegativeInfinity), v)
+    def trace(): Unit = if (fEta != null) {
+      var s = 0.0; var i = 0; while (i < size) { s += ips(i); i += 1 }; fEta += s
+    }
 
     // Line 1–3: seed + (l−1) random vertices, scored exactly.
     add(index.seedVertex)
@@ -98,8 +129,7 @@ object JointSearch {
       c += 1
     }
 
-    val fEta = scala.collection.mutable.ArrayBuilder.make[Double]
-    fEta += fSum()
+    trace()
     while (cursor < size) {
       // Line 5: the unexpanded vertex in R nearest to q.
       expanded(cursor) = true; hops += 1
@@ -107,18 +137,18 @@ object JointSearch {
       var i = 0
       while (i < nbrs.length) {
         val u = nbrs(i)
-        if (!seen(u)) {
+        if (!seen.isMarked(u)) {
           val worst = ips(size - 1) // line 8: z = argmin IP in R
-          val pr = score(u, if (cfg.usePartialDistance) worst else Double.NegativeInfinity)
-          if (pr.pruned) prunedCnt += 1
-          else if (pr.ip > worst) { size -= 1; insert(pr.ip, u) }
+          val ip = score(u, if (cfg.usePartialDistance) worst else Double.NegativeInfinity)
+          if (scan.pruned) prunedCnt += 1
+          else if (ip > worst) { size -= 1; insert(ip, u) }
         }
         i += 1
       }
       while (cursor < size && expanded(cursor)) cursor += 1
-      fEta += fSum()
+      trace()
     }
-    (ids.take(cfg.k), dots, prunedCnt, hops, fEta.result())
+    (ids.take(cfg.k), dots, prunedCnt, hops)
   }
 
   /** Rejects, naming the qid, a query with more weights or slots than the store has modalities, a
@@ -140,7 +170,7 @@ object JointSearch {
   private lazy val resultEncoder: Encoder[SearchResult] = ExpressionEncoder[SearchResult]()
 
   /** Joint search of every query in `queries`, each scored alone by
-    * [[searchKernel]] with its default seed, on the driver.
+    * [[searchKernel]] with its default seed (without f(η)), on the driver.
     *
     * Eager: the queries are read and searched before this returns, so a
     * query that fails validation throws `IllegalArgumentException` naming
@@ -174,7 +204,7 @@ object JointSearch {
       validateQuery(qv, q.qid, w, store)
       (q, qv)
     } { case (q, qv) =>
-      val (ids, dots, pruned, hops, _) = searchKernel(qv, q.qid, w, index, store, cfg)
+      val (ids, dots, pruned, hops) = route(qv, q.qid, w, index, store, cfg)
       SearchResult(q.qid, q.gt, ids.map(_.toLong).toSeq, dots, pruned, hops)
     }
 

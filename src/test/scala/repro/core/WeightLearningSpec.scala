@@ -1,12 +1,13 @@
 package repro.core
 
+import org.scalacheck.Gen
 import org.scalatest.funsuite.AnyFunSuite
-import repro.SparkSpec
+import repro.{PropSupport, SparkSpec}
 import repro.core.Types._
 import repro.core.WeightLearning.WLConfig
 import repro.mmdata.MultiModalSynth
 
-class WeightLearningSpec extends AnyFunSuite with SparkSpec {
+class WeightLearningSpec extends AnyFunSuite with SparkSpec with PropSupport {
 
   // Modality 1 is much less noisy than modality 0 ⇒ learning should
   // assign it the larger weight (the paper's CelebA/Shopping pattern).
@@ -102,15 +103,46 @@ class WeightLearningSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("learn reproduces the pinned weights") {
-    // Pinned values: a refactor may change the summation order, which moves
-    // the weights by rounding only.
+    // Pinned values and their raw bits. A change of summation order moves the
+    // weights by rounding only, within 1e-9, but changes the bits: a refactor
+    // that means to keep the weights must keep the bits.
     val golden = Seq(
-      WLConfig(epochs = 60, lr = 0.05) -> Seq(0.6599382982613787, 0.8443320439148951),
-      WLConfig(epochs = 40, hardNegatives = false) -> Seq(1.018873016956816, 1.2887047117375352),
+      WLConfig(epochs = 60, lr = 0.05) ->
+        Seq(0.6599382982613787 -> 0x3fe51e36ec0d22f1L, 0.8443320439148951 -> 0x3feb04c4a27289b6L),
+      WLConfig(epochs = 40, hardNegatives = false) ->
+        Seq(1.018873016956816 -> 0x3ff04d4dcae9b3baL, 1.2887047117375352 -> 0x3ff49e88d4f1d236L),
     )
     golden.foreach { case (cfg, expected) =>
       val r = WeightLearning.learn(anchors, objects, ds.m, cfg)
-      r.weights.zip(expected).foreach { case (x, y) => assert(math.abs(x - y) < 1e-9, s"$cfg: ${r.weights.toSeq}") }
+      r.weights.zip(expected).foreach { case (x, (y, bits)) =>
+        assert(math.abs(x - y) < 1e-9, s"$cfg: ${r.weights.toSeq}")
+        assert(java.lang.Double.doubleToRawLongBits(x) == bits, s"$cfg: ${r.weights.toSeq}")
+      }
+    }
+  }
+
+  test("anchorGrad equals the boxed reference bit for bit on tie-heavy random rows") {
+    // Few distinct IPs and weights, so joint IPs tie often and the index
+    // tie-break of the hard negatives and of top-1 is exercised.
+    val ip = Gen.oneOf(-1.0, -0.5, 0.0, 0.5, 1.0)
+    val gradCase = for {
+      nT <- Gen.choose(1, 20)
+      m <- Gen.choose(1, 3)
+      ips <- Gen.listOfN(nT, Gen.listOfN(m, ip))
+      pos <- Gen.choose(0, nT - 1)
+      w <- Gen.listOfN(m, Gen.oneOf(0.0, 0.25, 0.5, 1.0))
+      negatives <- Gen.choose(0, 8)
+      hard <- Gen.oneOf(true, false)
+      qid <- Gen.choose(0L, 1000L)
+    } yield (WeightLearning.AnchorIps(qid, pos, ips.map(_.toArray).toArray), w.toArray,
+      WLConfig(negatives = negatives, hardNegatives = hard))
+    def bits(r: (Array[Double], Double, Double)) =
+      (r._1.map(java.lang.Double.doubleToRawLongBits).toSeq, java.lang.Double.doubleToRawLongBits(r._2), r._3)
+    val joint = new Array[Double](32) // scratch reused across samples, longer than any T
+    forAllGen(gradCase, trials = 300) { case (row, w, cfg) =>
+      val expected = bits(ReferenceLearning.anchorGrad(w, row, cfg))
+      assert(bits(WeightLearning.anchorGrad(w, row, cfg)) == expected)
+      assert(bits(WeightLearning.anchorGrad(w, row, cfg, joint)) == expected)
     }
   }
 

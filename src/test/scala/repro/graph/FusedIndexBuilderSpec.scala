@@ -143,6 +143,10 @@ class FusedIndexBuilderSpec extends AnyFunSuite with SparkSpec with PropSupport 
           .take(keep)
         assert(us.toSeq == expected.map(_._2), s"vertex $v")
         assert(ips.toSeq == expected.map(_._1), s"vertex $v")
+        val (rUs, rIps) = ReferenceBuild.candidates(st, w, nbrs, v, keep)
+        assert(us.toSeq == rUs.toSeq, s"vertex $v")
+        assert(ips.map(java.lang.Double.doubleToRawLongBits).toSeq ==
+          rIps.map(java.lang.Double.doubleToRawLongBits).toSeq, s"vertex $v")
       }
     }
   }

@@ -303,6 +303,25 @@ class JointSearchSpec extends AnyFunSuite with SparkSpec with PropSupport {
     }
   }
 
+  test("searchKernel alternating between stores of different n on one thread equals the reference kernel") {
+    // Its scored-vertex tags are per thread: a small store's query must not
+    // see the spec store's marks, nor the next spec query the small store's.
+    val small = new VectorStore(Array.tabulate(7)(v => Array(Array(v % 3 - 1.0, 1.0), Array(1.0, v % 2.0))))
+    val smallIndex = FusedIndex(Array.tabulate(7)(v => Array((v + 1) % 7, (v + 3) % 7)), 0, w)
+    val cfg = SearchConfig(k = 5, l = 6)
+    def same(qv: Array[Array[Double]], qid: Long, idx: FusedIndex, st: VectorStore): Unit = {
+      val (ids, dots, pruned, hops, fEta) = JointSearch.searchKernel(qv, qid, w, idx, st, cfg)
+      val (rIds, rDots, rPruned, rHops, rFEta) = ReferenceKernel.searchKernel(qv, qid, w, idx, st, cfg)
+      assert(ids.toSeq == rIds.toSeq && (dots, pruned, hops) == ((rDots, rPruned, rHops)), s"query $qid")
+      assert(fEta.map(java.lang.Double.doubleToRawLongBits).toSeq ==
+        rFEta.map(java.lang.Double.doubleToRawLongBits).toSeq, s"query $qid")
+    }
+    queries.collect().take(5).foreach { q =>
+      same(q.vecs.map(_.toArray).toArray, q.qid, index, store)
+      same(Array(Array(1.0, 0.5), Array(0.0, 1.0)), q.qid, smallIndex, small)
+    }
+  }
+
   /** The message of the `IllegalArgumentException` that searching `qv` with
     * `ww` as query 7 throws. */
   private def rejection(qv: Array[Array[Double]], ww: Array[Double]): String =
