@@ -14,6 +14,13 @@ package repro.core
   * after scanning modalities 0..x-1 the joint IP is bounded above by
   * partial + Σ_{i≥x} wᵢ — a safe early-exit test equivalent to the paper's
   * partial-Euclidean-distance form.
+  *
+  * [[jointIP]] and [[partialJointIP]] read nested per-modality arrays. The
+  * kernels read a [[repro.graph.VectorStore]]'s one flat array by offset
+  * instead — search, the exact scans (`VectorStore.topK`) and the build's
+  * seed through [[PartialScan]], the build's pair IPs through
+  * `VectorStore.pairIP` — and sum in the same order, so each IP has the
+  * same bits as here.
   */
 object JointSimilarity {
 
@@ -47,24 +54,37 @@ object JointSimilarity {
       threshold: Double,
   ): PartialResult = {
     require(w.length == o.length)
-    val scan = new PartialScan(w, q)
-    val ip = scan(o, threshold)
+    val scan = new PartialScan(w, q, o.flatten, o.map(_.length).scanLeft(0)(_ + _))
+    val ip = scan(0, threshold)
     PartialResult(ip, scan.pruned, scan.scanned)
   }
 
-  /** [[partialJointIP]] of many objects against one query `q`: the active
-    * modalities (non-empty in `q`, non-zero in `w`) and the bound's suffix
-    * masses are taken once, and a scan returns a bare `Double`, reporting
-    * how it ended in [[pruned]] and [[scanned]]. Search scores every vertex
-    * it visits through one. Not thread-safe. */
-  final class PartialScan(w: Array[Double], q: Array[Array[Double]]) {
+  /** [[partialJointIP]] of many objects against one query `q`, the objects'
+    * vectors read by offset from one flat array laid out as a
+    * [[repro.graph.VectorStore]]'s: object v's modality i at
+    * `v * offsets(m) + offsets(i)`. The active modalities (non-empty in `q`,
+    * non-zero in `w`), their offsets and the bound's suffix masses are taken
+    * once, and a scan returns a bare `Double`, reporting how it ended in
+    * [[pruned]] and [[scanned]]. Search scores every vertex it visits
+    * through one. Not thread-safe. */
+  final class PartialScan(w: Array[Double], q: Array[Array[Double]], data: Array[Double], offsets: Array[Int]) {
+
+    require(w.length == offsets.length - 1, s"weights ${w.length} vs modalities ${offsets.length - 1}")
+    private val stride = offsets(offsets.length - 1)
     private val active = (0 until math.min(q.length, w.length)).filter(i => q(i).length > 0 && w(i) != 0.0).toArray
+    active.foreach { i =>
+      val dim = offsets(i + 1) - offsets(i)
+      require(q(i).length == dim, s"dim mismatch: ${q(i).length} vs $dim")
+    }
+    private val qs = active.map(q)
+    private val ws = active.map(w)
+    private val offs = active.map(offsets)
     // rest(j): Σ|wᵢ| over the active modalities after the j-th, each |wᵢ|
     // subtracted in turn from the total, so every bound has the same bits.
     private val rest = {
       var remaining = 0.0
-      active.foreach(i => remaining += math.abs(w(i)))
-      active.map { i => remaining -= math.abs(w(i)); remaining }
+      ws.foreach(x => remaining += math.abs(x))
+      ws.map { x => remaining -= math.abs(x); remaining }
     }
 
     /** The last scan stopped early, with an active modality left unscanned. */
@@ -72,17 +92,17 @@ object JointSimilarity {
     /** The active modalities the last scan computed a dot product for. */
     var scanned = 0
 
-    /** `o`'s exact joint IP, or, when [[pruned]], the upper bound at which
-      * the scan fell to/below `threshold`. */
-    def apply(o: Array[Array[Double]], threshold: Double): Double = {
+    /** Object `v`'s exact joint IP, or, when [[pruned]], the upper bound at
+      * which the scan fell to/below `threshold`. */
+    def apply(v: Int, threshold: Double): Double = {
+      val base = v * stride
       var partial = 0.0
       var j = 0
-      while (j < active.length) {
-        val i = active(j)
-        partial += w(i) * VecOps.dot(q(i), o(i))
+      while (j < qs.length) {
+        partial += ws(j) * VecOps.dot(qs(j), data, base + offs(j))
         j += 1
         // Counted, not read off rest: its floating residue is not exactly 0.
-        if (j < active.length && partial + rest(j - 1) <= threshold) {
+        if (j < qs.length && partial + rest(j - 1) <= threshold) {
           pruned = true; scanned = j
           return partial + rest(j - 1)
         }

@@ -22,6 +22,22 @@ object VecOps {
     s
   }
 
+  /** [[dot]] of `a` and the `a.length` components of `b` from `bOff`, summed
+    * in the same order, so with the same bits. */
+  def dot(a: Array[Double], b: Array[Double], bOff: Int): Double = {
+    var s = 0.0; var i = 0
+    while (i < a.length) { s += a(i) * b(bOff + i); i += 1 }
+    s
+  }
+
+  /** [[dot]] of the `len` components of `x` from `aOff` and those from
+    * `bOff`, summed in the same order, so with the same bits. */
+  def dot(x: Array[Double], aOff: Int, bOff: Int, len: Int): Double = {
+    var s = 0.0; var i = 0
+    while (i < len) { s += x(aOff + i) * x(bOff + i); i += 1 }
+    s
+  }
+
   def norm(a: Array[Double]): Double = math.sqrt(dot(a, a))
 
   /** Returns a fresh L2-normalized copy; the zero vector is returned as-is. */

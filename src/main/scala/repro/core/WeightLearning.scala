@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.Dataset
+import org.apache.spark.sql.{Dataset, Encoders}
 import repro.core.Types._
 import repro.graph.JointSearch
 
@@ -15,10 +15,11 @@ import repro.graph.JointSearch
   *
   * Execution: the anchors and T are collected once (both are as small as
   * the training set; the anchors through [[JointSearch.rows]], so a local
-  * Dataset needs no query plan), and each anchor's per-modality IPs against
-  * T are computed once — they do not depend on w. The epochs then run on
-  * the driver over that anchors × |T| × m tensor, in primitive loops over
-  * one reused array of joint IPs: each epoch sums the
+  * Dataset needs no query plan, and T by testing each object row's id in
+  * its task and decoding only T's rows), and each anchor's per-modality IPs
+  * against T are computed once — they do not depend on w. The epochs then
+  * run on the driver over that anchors × |T| × m tensor, in primitive loops
+  * over one reused array of joint IPs: each epoch sums the
   * per-anchor gradients in anchor order and takes one full-batch
   * gradient-descent step (the paper's minibatch SGD with 700 iterations ≈
   * our full-batch GD with ~80 epochs at the same loss).
@@ -178,11 +179,7 @@ object WeightLearning {
 
     // T: true objects of the anchors (paper §VI-A).
     val gtIds = anchorRows.map(_.gt).toSet
-    val t: Array[(Long, Array[Array[Double]])] = objects
-      .filter(o => gtIds.contains(o.id))
-      .collect()
-      .map(o => o.id -> o.vecs.map(_.toArray).toArray)
-      .sortBy(_._1)
+    val t = trueObjects(objects, gtIds).sortBy(_._1)
     require(t.length == gtIds.size, "some anchor gts missing from object set")
     t.foreach { case (id, ov) => require(ov.length == m, s"object $id: ${ov.length} modalities, m = $m") }
     val tensor = anchorRows.map(a => anchorIps(a, t, m))
@@ -211,4 +208,18 @@ object WeightLearning {
       s"lr ${cfg.lr}, ${cfg.epochs} epochs): no modality ranks the anchors' true objects above their negatives")
     TrainResult(w, losses.result(), top1s.result())
   }
+
+  private lazy val objectSchema = Encoders.product[MMObject].schema
+
+  /** The objects of `objects` whose id is in `ids`, as (id, vectors). In
+    * `MMObject`'s schema, by one job over the encoded rows that tests each
+    * row's id in its task and decodes only the rows kept
+    * ([[JointSearch.encodedRows]]); in any other schema, by `collect()`. */
+  private def trueObjects(objects: Dataset[MMObject], ids: Set[Long]): Array[(Long, Array[Array[Double]])] =
+    if (objects.schema == objectSchema)
+      JointSearch.encodedRows(objects)(row => ids.contains(row.getLong(0)), { row =>
+        val vecs = row.getArray(1)
+        row.getLong(0) -> Array.tabulate(vecs.numElements())(j => vecs.getArray(j).toDoubleArray())
+      })
+    else objects.collect().filter(o => ids.contains(o.id)).map(o => o.id -> o.vecs.map(_.toArray).toArray)
 }

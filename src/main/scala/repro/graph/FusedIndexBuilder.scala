@@ -22,17 +22,22 @@ final case class FusedIndex(
 /** Component-based index construction pipeline (Algorithm 1, components
   * ①–⑤) over the in-memory [[VectorStore]], run on the driver's cores as
   * the paper's single-node build is: each per-vertex pass is a
-  * [[VectorStore.parallelMap]] over vertex ids, with no Spark job.
+  * [[VectorStore.parallelMap]] over vertex ids, with no Spark job. Every
+  * joint IP between two vertices — the NNDescent and ② candidates, MRNG's
+  * occlusion test, ⑤'s bridges — is [[VectorStore.pairIP]], read by offset
+  * from the store's flat array; ④ scores the centroid through one
+  * [[repro.core.JointSimilarity.PartialScan]].
   *
   *  - ① Initialization: random γ-NN lists refined by ε rounds of
   *    NNDescent. Each round is one pass that reads the previous round's
   *    adjacency and writes a new one (no in-place update, so the graph does
   *    not depend on thread timing): every vertex v keeps the best γ of
-  *    N(v) ∪ N(N(v)) \ {v} by joint IP.
+  *    N(v) ∪ N(N(v)) \ {v} by joint IP, chosen by a bounded heap of γ
+  *    ([[BestK]]), not by sorting all of up to γ(γ + 1) candidates.
   *    (The paper's one-at-a-time replacement loop and this batch top-γ
   *    update reach the same fixpoint; batching needs no shared state.)
   *  - ② Candidate acquisition: one more neighbors-of-neighbors expansion,
-  *    keeping each vertex's best candidates.
+  *    keeping each vertex's best candidates, ranked by the same heap.
   *  - ③ Neighbor selection: MRNG pruning (Lemma 2) per vertex, in the same
   *    pass as ②; toggling `useMrngSelection` off yields the KGraph-style
   *    top-γ graph used in the §VIII-G pipeline ablation.
@@ -115,25 +120,27 @@ object FusedIndexBuilder {
     // ④ seed = vertex nearest to the centroid of concatenated vectors.
     // (Per-modality mean ⇔ concatenated-vector mean, by linearity.)
     val m = store.m
+    val stride = store.stride
     val centroid = Array.tabulate(m) { i =>
-      val acc = new Array[Double](store.vecs(0)(i).length)
+      val acc = new Array[Double](store.dim(i))
+      var at = store.offsets(i)
       var v = 0
-      while (v < n) { val vec = store.vecs(v)(i); var j = 0; while (j < vec.length) { acc(j) += vec(j); j += 1 }; v += 1 }
+      while (v < n) { var j = 0; while (j < acc.length) { acc(j) += store.data(at + j); j += 1 }; at += stride; v += 1 }
       acc.map(_ / n)
     }
+    val toCentroid = new JointSimilarity.PartialScan(weights, centroid, store.data, store.offsets)
     var seedVertex = 0
     var bestIp = Double.NegativeInfinity
     var v = 0
     while (v < n) {
-      val ip = JointSimilarity.jointIP(weights, centroid, store.vecs(v))
+      val ip = toCentroid(v, Double.NegativeInfinity)
       if (ip > bestIp) { bestIp = ip; seedVertex = v }
       v += 1
     }
 
     // ⑤ connectivity repair by BFS from the seed.
     if (cfg.ensureConnectivity)
-      repairConnectivity(adjacency, seedVertex,
-        (a, b) => JointSimilarity.jointIP(weights, store.vecs(a), store.vecs(b)))
+      repairConnectivity(adjacency, seedVertex, (a, b) => store.pairIP(weights, a, b))
 
     FusedIndex(adjacency, seedVertex, weights.clone())
   }
@@ -143,9 +150,9 @@ object FusedIndexBuilder {
 
   /** Neighbors-of-neighbors expansion of one vertex: N(v) ∪ N(N(v)) \ {v},
     * scored by joint IP with v and ordered by (−ip, u) — `Double.compare`
-    * on −ip, then id — first `keep`. Shared by the NNDescent rounds (keep =
-    * γ) and component ② (keep = candidate cap). Current neighbors always
-    * remain candidates. */
+    * on −ip, then id — first `keep`, kept by a bounded heap ([[BestK]]).
+    * Shared by the NNDescent rounds (keep = γ) and component ② (keep =
+    * candidate cap). Current neighbors always remain candidates. */
   private[graph] def candidates(
       store: VectorStore,
       w: Array[Double],
@@ -171,48 +178,10 @@ object FusedIndexBuilder {
       while (b < nu.length) { if (tags.visit(nu(b))) { us(size) = nu(b); size += 1 }; b += 1 }
       a += 1
     }
-    val vv = store.vecs(v)
-    val ips = new Array[Double](size)
+    val best = new BestK(math.min(keep, size))
     var i = 0
-    while (i < size) { ips(i) = JointSimilarity.jointIP(w, vv, store.vecs(us(i))); i += 1 }
-    sortBest(us, ips, size)
-    val top = math.min(keep, size)
-    (java.util.Arrays.copyOf(us, top), java.util.Arrays.copyOf(ips, top))
-  }
-
-  /** Sorts the first `size` (id, ip) pairs of `ids` and `ips` by
-    * `Double.compare` on −ip, then by id: a bottom-up merge sort over the
-    * two arrays, with no boxing. */
-  private def sortBest(ids: Array[Int], ips: Array[Double], size: Int): Unit = {
-    var srcIds = ids; var srcIps = ips
-    var dstIds = new Array[Int](size); var dstIps = new Array[Double](size)
-    var width = 1
-    while (width < size) {
-      var lo = 0
-      while (lo < size) {
-        val mid = math.min(lo + width, size)
-        val hi = math.min(lo + 2 * width, size)
-        var a = lo; var b = mid; var k = lo
-        while (k < hi) {
-          // The left run's head goes first unless the right run's is strictly better.
-          val takeA = a < mid && (b >= hi || {
-            val c = java.lang.Double.compare(-srcIps(b), -srcIps(a))
-            !(c < 0 || (c == 0 && srcIds(b) < srcIds(a)))
-          })
-          if (takeA) { dstIds(k) = srcIds(a); dstIps(k) = srcIps(a); a += 1 }
-          else { dstIds(k) = srcIds(b); dstIps(k) = srcIps(b); b += 1 }
-          k += 1
-        }
-        lo = hi
-      }
-      val (ti, tp) = (srcIds, srcIps)
-      srcIds = dstIds; srcIps = dstIps; dstIds = ti; dstIps = tp
-      width *= 2
-    }
-    if (srcIds ne ids) {
-      System.arraycopy(srcIds, 0, ids, 0, size)
-      System.arraycopy(srcIps, 0, ips, 0, size)
-    }
+    while (i < size) { best.offer(us(i), store.pairIP(w, v, us(i))); i += 1 }
+    best.result()
   }
 
   /** MRNG selection (Algorithm 1 lines 11–17): walk candidates in
@@ -237,7 +206,7 @@ object FusedIndexBuilder {
         var ok = true
         var j = 0
         while (ok && j < size) {
-          if (JointSimilarity.jointIP(w, store.vecs(out(j)), store.vecs(v)) > ips(i)) ok = false
+          if (store.pairIP(w, out(j), v) > ips(i)) ok = false
           j += 1
         }
         if (ok) { out(size) = v; size += 1 }

@@ -11,7 +11,7 @@ object GraphQuality {
   /** Exact top-γ joint-IP neighbor lists for every vertex, best first (by
     * joint IP descending, then by id). */
   def exactNeighbors(store: VectorStore, w: Array[Double], gamma: Int): Array[Array[Int]] =
-    VectorStore.parallelMap(store.n)(o => store.topK(store.vecs(o), w, gamma, skip = o)._1)
+    VectorStore.parallelMap(store.n)(o => store.topK(store(o), w, gamma, skip = o)._1)
 
   /** Mean overlap of `adjacency`'s first γ entries with the exact top-γ. */
   def quality(adjacency: Array[Array[Int]], exact: Array[Array[Int]], gamma: Int): Double = {

@@ -46,7 +46,8 @@ object JointSearch {
     * none is scored twice (the paper's H-check plus memoization — identical
     * result set, fewer dot products). Neighbours are scored against R's worst
     * IP with the Lemma-4 partial distance, or exactly when that is off,
-    * through one [[JointSimilarity.PartialScan]] per query.
+    * through one [[JointSimilarity.PartialScan]] per query, which reads each
+    * vertex's vectors by offset into the store's flat array.
     *
     * @return (top-k ids, dot products, pruned count, hops, per-iteration
     *         sum of R's IPs — the monotone f(η) of Lemma 3)
@@ -94,10 +95,10 @@ object JointSearch {
     val seen = scoredTags.get()
     seen.reset(n)
 
-    val scan = new JointSimilarity.PartialScan(w, qVecs)
+    val scan = new JointSimilarity.PartialScan(w, qVecs, store.data, store.offsets)
     def score(v: Int, threshold: Double): Double = {
       seen.mark(v)
-      val ip = scan(store.vecs(v), threshold)
+      val ip = scan(v, threshold)
       dots += scan.scanned
       ip
     }
@@ -157,8 +158,8 @@ object JointSearch {
   private[repro] def validateQuery(q: Array[Array[Double]], qid: Long, w: Array[Double], store: VectorStore): Unit = {
     require(w.length == store.m, s"query $qid: ${w.length} weights for ${store.m} modalities")
     require(q.length <= store.m, s"query $qid: ${q.length} slots for ${store.m} modalities")
-    for (i <- q.indices if q(i).nonEmpty) require(q(i).length == store.vecs(0)(i).length,
-      s"query $qid: slot $i has dimension ${q(i).length}, the store's ${store.vecs(0)(i).length}")
+    for (i <- q.indices if q(i).nonEmpty) require(q(i).length == store.dim(i),
+      s"query $qid: slot $i has dimension ${q(i).length}, the store's ${store.dim(i)}")
     for (i <- q.indices) require(q(i).forall(java.lang.Double.isFinite),
       s"query $qid: slot $i has a NaN or infinite component")
     require(q.indices.exists(i => q(i).nonEmpty && w(i) != 0.0),
@@ -242,13 +243,21 @@ object JointSearch {
     * its columns reordered `.as[MMQuery]`, is collected. */
   private[repro] def rows(queries: Dataset[MMQuery]): Array[MMQuery] = queries.queryExecution.logical match {
     case r: LocalRelation if r.schema == querySchema => r.data.iterator.map(decodeQuery).toArray
-    case _ if queries.schema == querySchema =>
-      queries.queryExecution.toRdd
-        .mapPartitionsWithIndex((p, it) => Iterator(p -> it.map(decodeQuery).toArray))
-        .coalesce(queries.sparkSession.sparkContext.defaultParallelism)
-        .collect().sortBy(_._1).flatMap(_._2)
+    case _ if queries.schema == querySchema => encodedRows(queries)(_ => true, decodeQuery)
     case _ => queries.collect()
   }
+
+  /** `decode` of each encoded row of `ds` that `keep` accepts, in the order
+    * `collect()` returns the rows, by one Spark job of at most
+    * `defaultParallelism` tasks: each partition's rows are tested and decoded
+    * in its task and tagged with its index, and the partitions are put back
+    * in index order on the driver (see [[rows]]). A row that `keep` rejects
+    * is never decoded. */
+  private[repro] def encodedRows[A: ClassTag](ds: Dataset[_])(keep: InternalRow => Boolean, decode: InternalRow => A): Array[A] =
+    ds.queryExecution.toRdd
+      .mapPartitionsWithIndex((p, it) => Iterator(p -> it.filter(keep).map(decode).toArray))
+      .coalesce(ds.sparkSession.sparkContext.defaultParallelism)
+      .collect().sortBy(_._1).flatMap(_._2)
 
   /** An [[MMQuery]] from a row in `querySchema`, nulls kept as `collect()` keeps them. */
   private def decodeQuery(row: InternalRow): MMQuery = {

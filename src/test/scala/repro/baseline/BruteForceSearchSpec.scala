@@ -152,7 +152,7 @@ class BruteForceSearchSpec extends AnyFunSuite with SparkSpec with PropSupport {
     forAllGen(smallCase) { case (st, qs, w, k) =>
       BruteForceSearch.topK(qs, st, w, k).zip(qs).foreach { case (e, q) =>
         val qv = q.vecs.map(_.toArray).toArray
-        val naive = (0 until st.n).map(v => (JointSimilarity.jointIP(w, qv, st.vecs(v)), v.toLong))
+        val naive = (0 until st.n).map(v => (JointSimilarity.jointIP(w, qv, st(v)), v.toLong))
           .sortBy { case (ip, id) => (-ip, id) }.take(k)
         assert(e.qid == q.qid)
         assert(e.results == naive.map(_._2), s"query ${q.qid}")

@@ -121,6 +121,18 @@ class WeightLearningSpec extends AnyFunSuite with SparkSpec with PropSupport {
     }
   }
 
+  test("learn gives the same weights bit for bit whatever the objects' schema and partitioning") {
+    import spark.implicits._
+    val cfg = WLConfig(epochs = 20)
+    def bits(objs: org.apache.spark.sql.Dataset[MMObject]) =
+      WeightLearning.learn(anchors, objs, ds.m, cfg).weights.map(java.lang.Double.doubleToRawLongBits).toSeq
+    val expected = bits(objects)
+    // Another column order takes the collect() fallback; the others read the encoded rows.
+    assert(bits(objects.toDF().select("vecs", "id").as[MMObject]) == expected)
+    assert(bits(objects.repartition(7)) == expected)
+    assert(bits(objects.orderBy($"id".desc)) == expected)
+  }
+
   test("anchorGrad equals the boxed reference bit for bit on tie-heavy random rows") {
     // Few distinct IPs and weights, so joint IPs tie often and the index
     // tie-break of the hard negatives and of top-1 is exercised.

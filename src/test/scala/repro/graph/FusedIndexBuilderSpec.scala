@@ -60,10 +60,10 @@ class FusedIndexBuilderSpec extends AnyFunSuite with SparkSpec with PropSupport 
     val n = store.n
     val centroid = Array.tabulate(store.m) { i =>
       val acc = new Array[Double](ds.dim)
-      (0 until n).foreach { v => val vec = store.vecs(v)(i); (0 until ds.dim).foreach(j => acc(j) += vec(j)) }
+      (0 until n).foreach { v => val vec = store(v)(i); (0 until ds.dim).foreach(j => acc(j) += vec(j)) }
       acc.map(_ / n)
     }
-    val best = (0 until n).maxBy(v => JointSimilarity.jointIP(w, centroid, store.vecs(v)))
+    val best = (0 until n).maxBy(v => JointSimilarity.jointIP(w, centroid, store(v)))
     assert(index.seedVertex == best)
   }
 
@@ -75,10 +75,10 @@ class FusedIndexBuilderSpec extends AnyFunSuite with SparkSpec with PropSupport 
     noBridge.adjacency.zipWithIndex.foreach { case (ns, o) =>
       ns.indices.foreach { i =>
         val v = ns(i)
-        val ipOv = JointSimilarity.jointIP(w, store.vecs(o), store.vecs(v))
+        val ipOv = JointSimilarity.jointIP(w, store(o), store(v))
         (0 until i).foreach { j =>
           val u = ns(j)
-          val ipUv = JointSimilarity.jointIP(w, store.vecs(u), store.vecs(v))
+          val ipUv = JointSimilarity.jointIP(w, store(u), store(v))
           assert(ipOv > ipUv,
             s"MRNG violated at o=$o v=$v u=$u: IP(o,v)=$ipOv <= IP(u,v)=$ipUv")
         }
@@ -138,7 +138,7 @@ class FusedIndexBuilderSpec extends AnyFunSuite with SparkSpec with PropSupport 
       (0 until st.n).foreach { v =>
         val (us, ips) = FusedIndexBuilder.candidates(st, w, nbrs, v, keep)
         val expected = (nbrs(v).toSet ++ nbrs(v).flatMap(u => nbrs(u)) - v).toSeq
-          .map(u => (JointSimilarity.jointIP(w, st.vecs(v), st.vecs(u)), u))
+          .map(u => (JointSimilarity.jointIP(w, st(v), st(u)), u))
           .sortBy { case (ip, u) => (-ip, u) }
           .take(keep)
         assert(us.toSeq == expected.map(_._2), s"vertex $v")

@@ -28,7 +28,7 @@ class GraphQualitySpec extends AnyFunSuite with SparkSpec with PropSupport {
   test("exactNeighbors matches a driver-side naive computation") {
     (0 until 10).foreach { o =>
       val naive = (0 until store.n).filter(_ != o)
-        .map(v => (JointSimilarity.jointIP(w, store.vecs(o), store.vecs(v)), v))
+        .map(v => (JointSimilarity.jointIP(w, store(o), store(v)), v))
         .sortBy { case (ip, v) => (-ip, v) }
         .take(6).map(_._2).toSet
       assert(exact(o).toSet == naive, s"vertex $o")
@@ -49,7 +49,7 @@ class GraphQualitySpec extends AnyFunSuite with SparkSpec with PropSupport {
       val got = GraphQuality.exactNeighbors(st, w, gamma)
       (0 until st.n).foreach { o =>
         val naive = (0 until st.n).filter(_ != o)
-          .map(v => (JointSimilarity.jointIP(w, st.vecs(o), st.vecs(v)), v))
+          .map(v => (JointSimilarity.jointIP(w, st(o), st(v)), v))
           .sortBy { case (ip, v) => (-ip, v) }
           .take(gamma).map(_._2)
         assert(got(o).toSeq == naive, s"vertex $o")

@@ -39,7 +39,7 @@ class JointSearchSpec extends AnyFunSuite with SparkSpec with PropSupport {
     val byQid = qs.map(q => q.qid -> q).toMap
     res.foreach { r =>
       val qv = byQid(r.qid).vecs.map(_.toArray).toArray
-      val ips = r.results.map(id => repro.core.JointSimilarity.jointIP(w, qv, store.vecs(id.toInt)))
+      val ips = r.results.map(id => repro.core.JointSimilarity.jointIP(w, qv, store(id.toInt)))
       assert(ips == ips.sortBy(-_), s"unsorted result IPs for query ${r.qid}: $ips")
     }
   }

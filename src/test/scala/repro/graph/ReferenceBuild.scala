@@ -21,8 +21,8 @@ object ReferenceBuild {
     val all = mutable.ArrayBuilder.make[Int]
     nbrs(v).foreach { u => all += u; all ++= nbrs(u) }
     val us = all.result().distinct.filter(_ != v)
-    val vv = store.vecs(v)
-    val top = us.map(u => (-JointSimilarity.jointIP(w, vv, store.vecs(u)), u)).sorted.take(keep)
+    val vv = store(v)
+    val top = us.map(u => (-JointSimilarity.jointIP(w, vv, store(u)), u)).sorted.take(keep)
     (top.map(_._2), top.map(-_._1))
   }
 }

@@ -37,7 +37,7 @@ object ReferenceKernel {
     var prunedCnt = 0L
 
     def exactIp(v: Int): Double = {
-      val r = JointSimilarity.partialJointIP(w, qVecs, store.vecs(v), Double.NegativeInfinity)
+      val r = JointSimilarity.partialJointIP(w, qVecs, store(v), Double.NegativeInfinity)
       dots += r.modalitiesScanned
       r.ip
     }
@@ -82,7 +82,7 @@ object ReferenceKernel {
             if (!scored.contains(u) && !inR.containsKey(u)) {
               val worst = r.last // line 8: z = argmin IP in R
               if (cfg.usePartialDistance) {
-                val pr = JointSimilarity.partialJointIP(w, qVecs, store.vecs(u), worst._1)
+                val pr = JointSimilarity.partialJointIP(w, qVecs, store(u), worst._1)
                 dots += pr.modalitiesScanned
                 scored.add(u)
                 if (pr.pruned) prunedCnt += 1
