@@ -27,7 +27,9 @@ object MultiStreamRetrieval {
   /** One-hot weight vector for modality `i` of `m`. */
   def oneHot(m: Int, i: Int): Array[Double] = Array.tabulate(m)(j => if (j == i) 1.0 else 0.0)
 
-  /** Driver-free kernel: per-modality top-l searches + intersection merge. */
+  /** Driver-free kernel: per-modality top-l searches + intersection merge.
+    * It rejects a query with no active modality but checks nothing else of
+    * it: [[search]] validates each query before its kernel runs. */
   def mergeKernel(
       q: MMQuery,
       indexes: Array[FusedIndex],
@@ -80,8 +82,8 @@ object MultiStreamRetrieval {
   ): Dataset[MrResult] = {
     val idxs = indexes.toArray
     JointSearch.inProcess(queries, resultEncoder) { q =>
-      // Every active slot passes searchKernel's checks under its one-hot
-      // weights if one does: only the weighted-slot check reads w.
+      // Every active slot passes validateQuery under its one-hot weights
+      // if one does: only the weighted-slot check reads w.
       val qv = q.vecs.map(_.toArray).toArray
       val first = activeModalities(qv, idxs.length, q.qid).head
       JointSearch.validateQuery(qv, q.qid, oneHot(idxs.length, first), store)

@@ -4,21 +4,6 @@ import org.apache.spark.sql.SparkSession
 import repro.core.{JointSimilarity, VecOps}
 import repro.core.Types.IndexConfig
 
-/** The fused proximity-graph index (paper §VII-A, Algorithm 1).
-  *
-  * @param adjacency  out-neighbors per vertex (vertex id = object id)
-  * @param seedVertex fixed entry point (component ④: nearest to centroid)
-  * @param weights    modality weights w = ω² the graph was built under
-  */
-final case class FusedIndex(
-    adjacency: Array[Array[Int]],
-    seedVertex: Int,
-    weights: Array[Double],
-) extends Serializable {
-  def n: Int = adjacency.length
-  def maxDegree: Int = if (adjacency.isEmpty) 0 else adjacency.iterator.map(_.length).max
-}
-
 /** Component-based index construction pipeline (Algorithm 1, components
   * ①–⑤) over the in-memory [[VectorStore]], run on the driver's cores as
   * the paper's single-node build is: each per-vertex pass is a
@@ -46,6 +31,9 @@ final case class FusedIndex(
   *  - ⑤ Connectivity: BFS from the seed over the adjacency;
   *    unreached vertices get a bridge edge from their nearest visited
   *    vertex.
+  *
+  * The passes work on one array of out-lists per vertex; the last step packs
+  * them, on the calling thread, into the [[FusedIndex]]'s single array.
   */
 object FusedIndexBuilder {
 

@@ -47,7 +47,9 @@ object JointSearch {
     * result set, fewer dot products). Neighbours are scored against R's worst
     * IP with the Lemma-4 partial distance, or exactly when that is off,
     * through one [[JointSimilarity.PartialScan]] per query, which reads each
-    * vertex's vectors by offset into the store's flat array.
+    * vertex's vectors by offset into the store's flat array; each expanded
+    * vertex's out-neighbours are read by offset from the index's one array.
+    * The query is validated here, once.
     *
     * @return (top-k ids, dot products, pruned count, hops, per-iteration
     *         sum of R's IPs — the monotone f(η) of Lemma 3)
@@ -61,6 +63,7 @@ object JointSearch {
       cfg: SearchConfig,
       seed: Long = 99L,
   ): (Array[Int], Long, Long, Long, Array[Double]) = {
+    validateQuery(qVecs, qid, w, store)
     val fEta = scala.collection.mutable.ArrayBuilder.make[Double]
     val (ids, dots, pruned, hops) = route(qVecs, qid, w, index, store, cfg, seed, fEta)
     (ids, dots, pruned, hops, fEta.result())
@@ -72,7 +75,8 @@ object JointSearch {
   /** [[searchKernel]]'s routing. It appends R's IP sum to `fEta` after
     * seeding and after each hop only when `fEta` is given: [[search]] and
     * MR's merge pass none, since that O(l) sum per hop is a sizeable share
-    * of a warm kernel's time.
+    * of a warm kernel's time. It does not validate the query: each caller
+    * has ([[searchKernel]], [[searchSlots]]' check and MR's check).
     *
     * @return (top-k ids, dot products, pruned count, hops)
     */
@@ -86,8 +90,8 @@ object JointSearch {
       seed: Long = 99L,
       fEta: scala.collection.mutable.ArrayBuilder[Double] = null,
   ): (Array[Int], Long, Long, Long) = {
-    validateQuery(qVecs, qid, w, store)
     val n = index.n
+    val (offsets, targets) = (index.offsets, index.targets)
     val l = math.min(cfg.l, n)
     var dots = 0L; var prunedCnt = 0L; var hops = 0L
     val (ids, ips, expanded) = (new Array[Int](l), new Array[Double](l), new Array[Boolean](l))
@@ -134,10 +138,11 @@ object JointSearch {
     while (cursor < size) {
       // Line 5: the unexpanded vertex in R nearest to q.
       expanded(cursor) = true; hops += 1
-      val nbrs = index.adjacency(ids(cursor))
-      var i = 0
-      while (i < nbrs.length) {
-        val u = nbrs(i)
+      val v = ids(cursor)
+      var i = offsets(v)
+      val end = offsets(v + 1)
+      while (i < end) {
+        val u = targets(i)
         if (!seen.isMarked(u)) {
           val worst = ips(size - 1) // line 8: z = argmin IP in R
           val ip = score(u, if (cfg.usePartialDistance) worst else Double.NegativeInfinity)
@@ -160,10 +165,15 @@ object JointSearch {
     require(q.length <= store.m, s"query $qid: ${q.length} slots for ${store.m} modalities")
     for (i <- q.indices if q(i).nonEmpty) require(q(i).length == store.dim(i),
       s"query $qid: slot $i has dimension ${q(i).length}, the store's ${store.dim(i)}")
-    for (i <- q.indices) require(q(i).forall(java.lang.Double.isFinite),
-      s"query $qid: slot $i has a NaN or infinite component")
+    for (i <- q.indices) require(allFinite(q(i)), s"query $qid: slot $i has a NaN or infinite component")
     require(q.indices.exists(i => q(i).nonEmpty && w(i) != 0.0),
       s"query $qid has no slot that is both non-empty and weighted")
+  }
+
+  private def allFinite(x: Array[Double]): Boolean = {
+    var j = 0
+    while (j < x.length && java.lang.Double.isFinite(x(j))) j += 1
+    j == x.length
   }
 
   /** Derived once: given a product encoder, `createDataset` would derive its

@@ -58,11 +58,24 @@ class BenchmarkApiSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("the gate's self-test index calls") {
-    val adj = Array.tabulate(50)(v => Array((v + 1) % 50, (v + 7) % 50))
+    // The index does not check its graph: the gate must see each corruption
+    // as built, or its self-test, run before every benchmark run, fails.
+    val n = 50
+    val adj = Array.tabulate(n)(v => Array((v + 1) % n, (v + 7) % n))
+    def same(index: FusedIndex, expected: Array[Array[Int]]): Unit =
+      assert(index.adjacency.map(_.toSeq).toSeq == expected.map(_.toSeq).toSeq)
     val index = FusedIndex(adj, seedVertex = 0, weights = Array(0.5, 0.5))
-    assert(index.maxDegree == 2 && index.n == 50)
+    assert(index.maxDegree == 2 && index.n == n && index.seedVertex == 0)
+    same(index, adj)
+    def withEdges(v: Int, nbrs: Array[Int]) = index.copy(adjacency = adj.updated(v, nbrs))
+    same(withEdges(5, Array(5, 6)), adj.updated(5, Array(5, 6)))
+    same(withEdges(5, Array(6, n)), adj.updated(5, Array(6, n)))
+    val missing = index.copy(adjacency = adj.init)
+    assert(missing.n == n - 1)
+    same(missing, adj.init)
     val cut = index.copy(adjacency = adj.map(_.filter(_ != 33)))
-    assert(cut.maxDegree == 2 && cut.adjacency.forall(!_.contains(33)))
-    assert(index.copy(adjacency = adj.init).n == 49)
+    assert(cut.maxDegree == 2)
+    same(cut, adj.map(_.filter(_ != 33)))
+    same(FusedIndex(adj.updated(5, Array(5, 6)), seedVertex = 0, weights = Array(0.5, 0.5)), adj.updated(5, Array(5, 6)))
   }
 }

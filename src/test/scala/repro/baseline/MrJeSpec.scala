@@ -114,6 +114,12 @@ class MrJeSpec extends AnyFunSuite with SparkSpec {
       .contains("query 1007"))
   }
 
+  test("MR search rejects a non-empty slot of another dimension than the store's, naming its qid") {
+    val q = queries.head()
+    for (bad <- Seq(Seq(q.vecs(0).take(5), q.vecs(1)), Seq(q.vecs(0), q.vecs(1).take(5))))
+      assert(searchRejection(q.copy(qid = 1007L, vecs = bad)).contains("query 1007"), bad.map(_.length))
+  }
+
   test("MR search rejects a query with no active modality, naming its qid") {
     val q = queries.head()
     assert(searchRejection(q.copy(qid = 1007L, vecs = Seq(Seq.empty, Seq.empty))).contains("query 1007"))

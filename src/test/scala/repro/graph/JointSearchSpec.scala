@@ -232,6 +232,11 @@ class JointSearchSpec extends AnyFunSuite with SparkSpec with PropSupport {
       .contains("query 1007"))
   }
 
+  test("search rejects a non-empty slot of another dimension than the store's, naming its qid") {
+    val q = queries.head()
+    assert(searchRejection(q.copy(qid = 1007L, vecs = Seq(q.vecs(0), q.vecs(1).take(5)))).contains("query 1007"))
+  }
+
   test("search rejects a query with no slot both non-empty and weighted, naming its qid") {
     val q = queries.head()
     assert(searchRejection(q.copy(qid = 1007L, vecs = Seq(Seq.empty, Seq.empty))).contains("query 1007"))

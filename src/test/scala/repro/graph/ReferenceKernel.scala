@@ -5,9 +5,10 @@ import repro.core.Types._
 
 /** The search kernel of Algorithm 2 as it stood before `searchKernel` kept R
   * in sorted primitive arrays: R as a `TreeSet` of (ip, id) pairs beside
-  * boxed `scored`, `inR` and `expanded` sets. Kept verbatim as the
-  * reference that `JointSearchSpec` compares the array-based kernel with,
-  * output by output and bit by bit.
+  * boxed `scored`, `inR` and `expanded` sets. Kept as the reference that
+  * `JointSearchSpec` compares the array-based kernel with, output by output
+  * and bit by bit; it reads the index through its nested `adjacency` view,
+  * taken once per query.
   */
 object ReferenceKernel {
 
@@ -32,6 +33,7 @@ object ReferenceKernel {
       seed: Long = 99L,
   ): (Array[Int], Long, Long, Long, Array[Double]) = {
     val n = index.n
+    val adjacency = index.adjacency // materialized per call: read it once, not per hop
     val l = math.min(cfg.l, n)
     var dots = 0L
     var prunedCnt = 0L
@@ -75,7 +77,7 @@ object ReferenceKernel {
         case None => done = true
         case Some((_, v)) =>
           expanded.add(v); hops += 1
-          val nbrs = index.adjacency(v)
+          val nbrs = adjacency(v)
           var i = 0
           while (i < nbrs.length) {
             val u = nbrs(i)
